@@ -11,6 +11,7 @@ import argparse
 from statistics import mean
 
 from plueckerdec.channel import simulate_trials
+from plueckerdec.listdec import STRATEGIES
 from plueckerdec.params import SMALL_PARAMETER_SETS
 
 
@@ -18,8 +19,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=50)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--strategy", default="paper",
-                        choices=("paper", "reduced", "oracle"))
+    parser.add_argument("--strategy", default="paper", choices=STRATEGIES)
     args = parser.parse_args()
 
     header = f"{'params':>16} {'t':>2} {'trials':>6} {'recovered':>9} {'mean|L|':>8} {'unique?':>7}"

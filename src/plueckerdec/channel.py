@@ -74,10 +74,12 @@ def simulate_trials(
 
     Trial i derives its seed as seed + i; its stream supplies first the
     message symbols and then a fresh seed for the channel.  The decode
-    radius e defaults to t.
+    radius e defaults to t.  A negative trial count raises ChannelError.
     """
     from .listdec import decode_list
 
+    if trials < 0:
+        raise ChannelError(f"trial count must be >= 0, got {trials}")
     if e is None:
         e = t
     for trial in range(trials):

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Sequence
 
-from .errors import DomainError, FieldError
+from .errors import DomainError, FieldError, MatrixError
 from .gf import ExtElement, ExtFieldCtx, FieldCtx, ext_field, format_element
 from .matgf import MatGF, mat_from_text, mat_to_text
 from .gabidulin import (
@@ -36,7 +35,7 @@ from .pluecker import (
     shuffle_relations,
     tau_count,
 )
-from .listdec import build_block_code, decode_list, extended_parity, system_report
+from .listdec import STRATEGIES, build_block_code, decode_list, extended_parity, system_report
 from .channel import simulate_trials
 
 ELEMENT_GRAMMAR = """\
@@ -101,8 +100,12 @@ def parse_matrix_arg(ctx: FieldCtx, value: str) -> MatGF:
     if value == "-":
         return mat_from_text(ctx, sys.stdin.read())
     if value.startswith("@"):
-        with open(value[1:], "r", encoding="utf-8") as fh:
-            return mat_from_text(ctx, fh.read())
+        try:
+            with open(value[1:], "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as err:
+            raise MatrixError(f"cannot read {value[1:]!r}: {err.strerror}") from None
+        return mat_from_text(ctx, text)
     return mat_from_text(ctx, value)
 
 
@@ -317,26 +320,11 @@ def cmd_blockcode(args: argparse.Namespace) -> int:
     return emit(args, lines, payload)
 
 
-def _workers_from_env() -> int | None:
-    raw = os.environ.get("PLUECKERDEC_THREADS")
-    if raw is None:
-        return None
-    try:
-        w = int(raw)
-        if w < 1:
-            raise ValueError
-    except ValueError:
-        raise DomainError(f"PLUECKERDEC_THREADS must be a positive integer, got {raw!r}") from None
-    return w
-
-
 def cmd_decode(args: argparse.Namespace) -> int:
     code = build_code(args)
     received = Subspace.from_matrix(parse_matrix_arg(code.ext.base, args.received))
     system, _ = system_report(code, received, args.e)
-    result = decode_list(
-        code, received, args.e, args.strategy, workers=_workers_from_env()
-    )
+    result = decode_list(code, received, args.e, args.strategy)
     lines = [
         f"decode: e={args.e} strategy={args.strategy} received=[{mat_inline(received.basis)}]",
         f"system: vars={system.nvars} linear={len(system.linear)} "
@@ -450,9 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, code_params=True)
     p.add_argument("--received", required=True, help="basis matrix of the received space")
     p.add_argument("--e", type=int, required=True, help="error radius (ball radius 2e)")
-    p.add_argument(
-        "--strategy", choices=("paper", "reduced", "oracle"), default="paper"
-    )
+    p.add_argument("--strategy", choices=STRATEGIES, default="paper")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("simulate", help="seeded corrupt-then-decode trials")
@@ -461,9 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--e", type=int, default=None, help="decode radius (default: t)")
-    p.add_argument(
-        "--strategy", choices=("paper", "reduced", "oracle"), default="paper"
-    )
+    p.add_argument("--strategy", choices=STRATEGIES, default="paper")
     p.set_defaults(func=cmd_simulate)
 
     return parser

@@ -11,7 +11,9 @@ subspace distance of the received space.
 Three interchangeable strategies return that list: solving the equation
 system (`paper`), enumerating codewords against the ball forms
 (`reduced`), and enumerating codewords against the distance itself
-(`oracle`).
+(`oracle`).  `paper` eliminates once, enumerates the projection of the
+solution set onto the qualifying coordinates, and keeps the codewords
+whose embeddings satisfy the complete system.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DecodeError
 from .gf import ExtElement, phi_inv
-from .matgf import MatGF, _rref_rows, kernel_basis, rank, rref, solve_affine
+from .matgf import MatGF, _rref_rows, kernel_basis, rank, rref
 from .gabidulin import (
     GabidulinCode,
     RankCodeword,
@@ -41,6 +43,7 @@ from .pluecker import (
     LinearForm,
     PlueckerVector,
     QuadraticRelation,
+    _indexed_terms,
     all_tuples,
     ball_equations,
     embed,
@@ -52,7 +55,6 @@ from .pluecker import (
 STRATEGIES = ("paper", "reduced", "oracle")
 
 DEFAULT_ENUMERATION_CAP = 2**20
-DEFAULT_COSET_LIMIT = 2**12
 
 
 @lru_cache(maxsize=None)
@@ -63,36 +65,32 @@ def qualifying_tuples(n: int, k: int) -> tuple[IndexTuple, ...]:
     )
 
 
-def pluecker_entry_formula(i: Sequence[int], a: MatGF) -> int:
-    """Coordinate of the lifted codeword of `a` at a qualifying tuple.
+@lru_cache(maxsize=None)
+def _placements(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
+    """(row, col, sign) of the codeword-matrix entry behind each qualifying
+    coordinate, in the order of `qualifying_tuples`.
 
     With s the element of {1..k} missing from the tuple and t its unique
     entry above k, the minor collapses to (-1)^(k-s) * a[s][t-k].
     """
+    out = []
+    for pos in qualifying_tuples(n, k):
+        s = next(x for x in range(1, k + 1) if x not in pos)
+        t = pos[-1]  # tuples increase, so the one entry above k is last
+        out.append((s - 1, t - k - 1, (-1) ** (k - s)))
+    return tuple(out)
+
+
+def pluecker_entry_formula(i: Sequence[int], a: MatGF) -> int:
+    """Coordinate of the lifted codeword of `a` at a qualifying tuple."""
     k = a.rows
     n = k + a.cols
     tt = tuple(i)
-    big = [x for x in tt if x > k]
-    small = [x for x in tt if 1 <= x <= k]
-    if len(big) != 1 or len(small) != k - 1 or big[0] > n:
+    positions = qualifying_tuples(n, k)
+    if tt not in positions:
         raise DecodeError(f"tuple {tt} does not meet {{1..{k}}} in exactly {k - 1} positions")
-    t = big[0]
-    s = next(x for x in range(1, k + 1) if x not in set(small))
-    val = a.at(s - 1, t - k - 1)
-    return val if (k - s) % 2 == 0 else -val % a.ctx.q
-
-
-def _matrix_from_coords(
-    code: GabidulinCode, positions: Sequence[IndexTuple], values: Sequence[int]
-) -> MatGF:
-    """Invert the entry formula: qualifying coordinates back to the matrix."""
-    k, q = code.k, code.q
-    entries = [[0] * code.ell for _ in range(k)]
-    for pos, v in zip(positions, values):
-        t = next(x for x in pos if x > k)
-        s = next(x for x in range(1, k + 1) if x not in set(pos))
-        entries[s - 1][t - k - 1] = v if (k - s) % 2 == 0 else -v % q
-    return MatGF.from_rows(code.ext.base, entries)
+    row, col, sign = _placements(n, k)[positions.index(tt)]
+    return a.at(row, col) * sign % a.ctx.q
 
 
 @dataclass(frozen=True)
@@ -113,8 +111,9 @@ def build_block_code(code: GabidulinCode) -> BlockCodeView:
     the base-field message basis alpha^j * e_i; Hp is the RREF kernel
     basis of their span.
     """
-    n, k = code.n, code.k
+    n, k, q = code.n, code.k, code.q
     positions = qualifying_tuples(n, k)
+    places = _placements(n, k)
     alpha = code.ext.alpha()
     zero = code.ext.zero()
     rows = []
@@ -122,8 +121,8 @@ def build_block_code(code: GabidulinCode) -> BlockCodeView:
         for j in range(code.ell):
             msg = [zero] * code.msg_len
             msg[i] = alpha**j
-            cw = encode(code, msg)
-            rows.append([pluecker_entry_formula(pos, cw.mat) for pos in positions])
+            mat = encode(code, msg).mat
+            rows.append([mat.at(r, c) * sign % q for r, c, sign in places])
     Gp = MatGF.from_rows(code.ext.base, rows)
     if rank(Gp) != code.rho:
         raise DecodeError("block code generator is rank deficient")
@@ -241,33 +240,6 @@ def _code_table(
     return tuple(table)
 
 
-def _digits(i: int, base: int, width: int) -> list[int]:
-    """Digits of i in the given base, most significant first."""
-    out = [0] * width
-    for pos in range(width - 1, -1, -1):
-        out[pos] = i % base
-        i //= base
-    return out
-
-
-def _map_indices(fn: Callable[[int], object], total: int, workers: int | None) -> list:
-    """Apply fn to 0..total-1, optionally fanning out over worker threads.
-
-    Results are merged in index order, so the output does not depend on
-    the worker count.
-    """
-    w = max(1, min(workers or 1, total or 1))
-    if w == 1:
-        return [fn(i) for i in range(total)]
-    from concurrent.futures import ThreadPoolExecutor
-
-    step = -(-total // w)
-    ranges = [range(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    with ThreadPoolExecutor(max_workers=w) as pool:
-        parts = pool.map(lambda rg: [fn(i) for i in rg], ranges)
-        return [x for part in parts for x in part]
-
-
 @lru_cache(maxsize=2**16)
 def _entry_for_matrix(code: GabidulinCode, mat: MatGF) -> DecodeEntry:
     """Codeword entry determined by a matrix; candidates recur across
@@ -278,171 +250,92 @@ def _entry_for_matrix(code: GabidulinCode, mat: MatGF) -> DecodeEntry:
     return DecodeEntry(message_of(code, cw), cw, sub, embed(sub))
 
 
-def _verify_candidate(
-    code: GabidulinCode,
-    mat: MatGF,
-    system: EquationSystem,
-    expect_coords: tuple[int, ...] | None,
-) -> DecodeEntry | None:
-    """Reconstruct the codeword of a candidate matrix and check the system.
+def _pack(forms: Sequence[LinearForm], q: int) -> list[tuple[tuple, int]]:
+    """Each form as its nonzero (index, coeff) pairs and its reduced rhs."""
+    return [
+        (tuple((j, c) for j, c in enumerate(f.coeffs) if c), f.rhs % q) for f in forms
+    ]
 
-    With `expect_coords` the embedding must reproduce the solved
-    assignment exactly; otherwise every linear form and every quadratic
-    relation is evaluated on the embedding.
-    """
-    q = code.q
-    entry = _entry_for_matrix(code, mat)
-    coords = entry.pluecker.coords
-    if expect_coords is not None:
-        if coords != expect_coords:
-            return None
-    else:
-        if not all(f.holds(coords, q) for f in system.linear):
-            return None
-        if any(rel.evaluate(coords, q) for rel in system.quadratic):
-            return None
-    return entry
+
+def _holds(x: Sequence[int], packed: list[tuple[tuple, int]], q: int) -> bool:
+    """Whether the coordinates x satisfy every packed form."""
+    return all(sum(c * x[j] for j, c in nz) % q == rhs for nz, rhs in packed)
+
+
+def _coset(base: list[int], kernel: list[list[int]], q: int) -> Iterator[tuple[int, ...]]:
+    """Every point of base + span(kernel) over F_q, at about one vector sum
+    per point."""
+    if not kernel:
+        yield tuple(base)
+        return
+    head, rest = kernel[0], kernel[1:]
+    for _ in range(q):
+        yield from _coset(base, rest, q)
+        base = [(a + b) % q for a, b in zip(base, head)]
 
 
 def _decode_paper(
-    code: GabidulinCode,
-    r: Subspace,
-    e: int,
-    enumeration_cap: int,
-    coset_limit: int,
-    workers: int | None,
+    code: GabidulinCode, r: Subspace, e: int, enumeration_cap: int
 ) -> tuple[list[DecodeEntry], dict]:
-    q = code.q
+    """Solve the equation system, enumerating only the block coordinates.
+
+    One elimination of the linear forms, with the non-qualifying
+    coordinates ordered first, decides feasibility.  Its rows whose pivots
+    land among the k(n-k) qualifying coordinates constrain those alone:
+    they cut out the projection of the solution set, an affine coset that
+    the placement table carries into codeword-matrix entries.  Every
+    matrix of the coset is re-embedded and kept only when its embedding
+    satisfies the complete system, linear forms and shuffle relations.
+    """
+    n, k, ell, q = code.n, code.k, code.ell, code.q
     system = assemble_system(code, r, e)
-    positions = qualifying_tuples(code.n, code.k)
-    block_ranks = [tuple_rank(p, code.n, code.k) for p in positions]
-
-    coeff = MatGF.from_rows(code.ext.base, [list(f.coeffs) for f in system.linear])
-    rhs = [f.rhs for f in system.linear]
-    solution = solve_affine(coeff, rhs)
-    if solution is None:
-        return [], {"solver_path": "infeasible", "candidates_enumerated": 0}
-
-    particular, kernel = solution
-    dim = kernel.rows
-    if q**dim <= min(coset_limit, enumeration_cap):
-        return _paper_full_coset(
-            code, system, positions, block_ranks, particular, kernel, workers
-        )
-    return _paper_projected(
-        code, system, positions, block_ranks, enumeration_cap, workers
-    )
-
-
-def _paper_full_coset(
-    code: GabidulinCode,
-    system: EquationSystem,
-    positions: tuple[IndexTuple, ...],
-    block_ranks: list[int],
-    particular: tuple[int, ...],
-    kernel: MatGF,
-    workers: int | None,
-) -> tuple[list[DecodeEntry], dict]:
-    """Enumerate the affine solution coset of the linear part directly.
-
-    Free coordinates run in lex order of their positions; assignments
-    failing a quadratic relation are dropped, the rest are mapped back to
-    matrices and kept when re-embedding reproduces them.
-    """
-    q = code.q
-    dim = kernel.rows
-    total = q**dim
-    krows = [kernel.row_list(i) for i in range(dim)]
-    quads = [
-        tuple(
-            (tuple_rank(a, code.n, code.k), tuple_rank(b, code.n, code.k), c)
-            for a, b, c in rel.terms
-        )
-        for rel in system.quadratic
-    ]
-
-    def process(i: int) -> DecodeEntry | None:
-        x = list(particular)
-        for v, krow in zip(_digits(i, q, dim), krows):
-            if v:
-                for j, kv in enumerate(krow):
-                    if kv:
-                        x[j] = (x[j] + v * kv) % q
-        for terms in quads:
-            if sum(c * x[ia] * x[ib] for ia, ib, c in terms) % q:
-                return None
-        mat = _matrix_from_coords(code, positions, [x[g] for g in block_ranks])
-        return _verify_candidate(code, mat, system, tuple(x))
-
-    results = _map_indices(process, total, workers)
-    entries = [r for r in results if r is not None]
-    return entries, {"solver_path": "coset", "candidates_enumerated": total}
-
-
-def _paper_projected(
-    code: GabidulinCode,
-    system: EquationSystem,
-    positions: tuple[IndexTuple, ...],
-    block_ranks: list[int],
-    enumeration_cap: int,
-    workers: int | None,
-) -> tuple[list[DecodeEntry], dict]:
-    """Eliminate the non-qualifying coordinates before enumerating.
-
-    Ordering the qualifying coordinates last, the RREF rows whose pivots
-    land among them constrain those coordinates alone; the projection of
-    the full solution set.  Candidates from this much smaller affine set
-    are re-embedded and checked against the complete system, which keeps
-    the output identical to direct coset enumeration.
-    """
-    q = code.q
     nvars = system.nvars
-    blocked = set(block_ranks)
-    others = [i for i in range(nvars) if i not in blocked]
-    perm = others + block_ranks
-    cut = len(others)
+    block = [tuple_rank(p, n, k) for p in qualifying_tuples(n, k)]
+    in_block = set(block)
+    perm = [i for i in range(nvars) if i not in in_block] + block
+    nb = len(block)
+    cut = nvars - nb
 
     aug = [[f.coeffs[p] for p in perm] + [f.rhs % q] for f in system.linear]
     pivots = _rref_rows(aug, q)
     if pivots and pivots[-1] == nvars:
         return [], {"solver_path": "infeasible", "candidates_enumerated": 0}
 
-    block_rows = []
-    block_rhs = []
-    for row, p in zip(aug, pivots):
-        if p >= cut:
-            block_rows.append(row[cut:nvars])
-            block_rhs.append(row[nvars])
-    nb = len(block_ranks)
-    m = (
-        MatGF.from_rows(code.ext.base, block_rows)
-        if block_rows
-        else MatGF.zeros(code.ext.base, 0, nb)
-    )
-    solution = solve_affine(m, block_rhs)
-    if solution is None:  # unreachable: infeasibility already detected
-        return [], {"solver_path": "infeasible", "candidates_enumerated": 0}
-    particular, kernel = solution
-    dim = kernel.rows
-    total = q**dim
+    # pivot rows by block column; they are zero on the other coordinates
+    bound = {p - cut: row[cut:] for row, p in zip(aug, pivots) if p >= cut}
+    places = _placements(n, k)
+
+    def to_entries(vec: list[int]) -> list[int]:
+        flat = [0] * (k * ell)
+        for (i, j, sign), v in zip(places, vec):
+            flat[i * ell + j] = v * sign % q
+        return flat
+
+    particular = to_entries([bound[j][nb] if j in bound else 0 for j in range(nb)])
+    kernel = []
+    for f in range(nb):
+        if f not in bound:
+            vec = [-bound[j][f] % q if j in bound else 0 for j in range(nb)]
+            vec[f] = 1
+            kernel.append(to_entries(vec))
+    total = q ** len(kernel)
     if total > enumeration_cap:
         raise DecodeError(
             f"{total} candidate assignments exceed the enumeration cap {enumeration_cap}"
         )
-    krows = [kernel.row_list(i) for i in range(dim)]
 
-    def process(i: int) -> DecodeEntry | None:
-        xb = list(particular)
-        for v, krow in zip(_digits(i, q, dim), krows):
-            if v:
-                for j, kv in enumerate(krow):
-                    if kv:
-                        xb[j] = (xb[j] + v * kv) % q
-        mat = _matrix_from_coords(code, positions, xb)
-        return _verify_candidate(code, mat, system, None)
-
-    results = _map_indices(process, total, workers)
-    entries = [r for r in results if r is not None]
+    ctx = code.ext.base
+    # ball forms first: they are the ones a wrong candidate fails
+    linear = _pack(system.linear[::-1], q)
+    quadratic = [_indexed_terms(rel) for rel in system.quadratic]
+    entries = []
+    for flat in _coset(particular, kernel, q):
+        entry = _entry_for_matrix(code, MatGF(ctx, k, ell, flat))
+        x = entry.pluecker.coords
+        if _holds(x, linear, q) and not any(
+            sum(c * x[a] * x[b] for a, b, c in terms) % q for terms in quadratic
+        ):
+            entries.append(entry)
     return entries, {"solver_path": "projected", "candidates_enumerated": total}
 
 
@@ -451,15 +344,10 @@ def _decode_reduced(
 ) -> tuple[list[DecodeEntry], dict]:
     """Test the ball forms on the embedding of every codeword."""
     q = code.q
-    forms = ball_equations(r, e)
-    packed = [
-        tuple((j, c) for j, c in enumerate(f.coeffs) if c) for f in forms
+    forms = _pack(ball_equations(r, e), q)
+    entries = [
+        entry for entry in _code_table(code, cap) if _holds(entry.pluecker.coords, forms, q)
     ]
-    entries = []
-    for entry in _code_table(code, cap):
-        coords = entry.pluecker.coords
-        if all(sum(c * coords[j] for j, c in nz) % q == 0 for nz in packed):
-            entries.append(entry)
     return entries, {"candidates_enumerated": code.size}
 
 
@@ -482,8 +370,6 @@ def decode_list(
     strategy: str = "paper",
     *,
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-    coset_limit: int = DEFAULT_COSET_LIMIT,
-    workers: int | None = None,
 ) -> DecodeList:
     """Complete list of codewords within subspace distance 2e of r.
 
@@ -495,7 +381,7 @@ def decode_list(
         raise DecodeError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     start = time.perf_counter()
     if strategy == "paper":
-        entries, extra = _decode_paper(code, r, e, enumeration_cap, coset_limit, workers)
+        entries, extra = _decode_paper(code, r, e, enumeration_cap)
     elif strategy == "reduced":
         entries, extra = _decode_reduced(code, r, e, enumeration_cap)
     else:

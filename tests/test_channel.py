@@ -95,3 +95,9 @@ def test_simulate_trials_shape_and_determinism(demo_code):
         assert r["distance"] == 2
         assert r["success"] is True
         assert r["list_size"] >= 1
+
+
+def test_simulate_trials_rejects_negative_count(demo_code):
+    with pytest.raises(ChannelError):
+        list(simulate_trials(demo_code, t=1, trials=-3, seed=77))
+    assert list(simulate_trials(demo_code, t=1, trials=0, seed=77)) == []

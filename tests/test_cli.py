@@ -137,6 +137,21 @@ def test_matrix_from_file(capsys, tmp_path):
     assert "list size: 2" in out
 
 
+@pytest.mark.parametrize("flag", ["--received", "--matrix"])
+def test_missing_matrix_file_is_domain_error(capsys, tmp_path, flag):
+    path = f"@{tmp_path / 'missing.txt'}"
+    if flag == "--received":
+        argv = ["decode", *DEMO, "--received", path, "--e", "1"]
+    else:
+        argv = ["embed", "--q", "2", "--matrix", path]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    detail = json.loads(err)
+    assert detail["module"] == "matgf"
+    assert "missing.txt" in detail["error"]
+
+
 def test_domain_error_exit_code_and_json(capsys):
     rc, out, err = run_cli(
         capsys,
@@ -187,19 +202,14 @@ def test_simulate_json_lines(capsys):
         assert row["success"] is True
 
 
-def test_threads_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("PLUECKERDEC_THREADS", "2")
-    rc, out, _ = run_cli(
-        capsys, ["decode", *DEMO, "--received", "1 0 1 0;0 0 0 1", "--e", "1"]
-    )
-    assert rc == 0
-    assert out == (GOLDEN / "decode_r1.txt").read_text()
-    monkeypatch.setenv("PLUECKERDEC_THREADS", "zero")
-    rc, _, err = run_cli(
-        capsys, ["decode", *DEMO, "--received", "1 0 1 0;0 0 0 1", "--e", "1"]
+def test_simulate_negative_trials_is_domain_error(capsys):
+    rc, out, err = run_cli(
+        capsys,
+        ["simulate", *DEMO, "--t", "1", "--trials", "-3", "--seed", "11"],
     )
     assert rc == 1
-    assert "PLUECKERDEC_THREADS" in json.loads(err)["error"]
+    assert out == ""
+    assert json.loads(err)["module"] == "channel"
 
 
 def test_element_grammar():

@@ -235,17 +235,22 @@ def test_strategies_agree_random_sample():
 
 
 def test_strategies_agree_q5_both_solver_paths():
-    """Nontrivial signs: the solved coordinates carry (-1)^(k-s) factors."""
+    """Nontrivial signs: the solved coordinates carry (-1)^(k-s) factors.
+
+    The draws reach both outcomes of the solver, a projected coset and an
+    infeasible system."""
     rng = random.Random(55)
-    code = make_code(5, 4, 2, 2)
-    for _ in range(10):
-        r = random_subspace(FieldCtx(5), 4, 2, rng)
-        for e in (0, 1, 2):
-            oracle = [en.subspace for en in decode_list(code, r, e, "oracle").entries]
-            coset = decode_list(code, r, e, "paper", coset_limit=2**12)
-            projected = decode_list(code, r, e, "paper", coset_limit=0)
-            assert [en.subspace for en in coset.entries] == oracle
-            assert [en.subspace for en in projected.entries] == oracle
+    for n in (4, 5):
+        code = make_code(5, n, 2, 2)
+        paths = set()
+        for _ in range(10):
+            r = random_subspace(FieldCtx(5), n, 2, rng)
+            for e in (0, 1, 2):
+                oracle = [en.subspace for en in decode_list(code, r, e, "oracle").entries]
+                paper = decode_list(code, r, e, "paper")
+                assert [en.subspace for en in paper.entries] == oracle
+                paths.add(paper.stats["solver_path"])
+        assert paths == {"projected", "infeasible"}
 
 
 def test_decoder_completeness_equivalence(demo_code):
@@ -258,20 +263,6 @@ def test_decoder_completeness_equivalence(demo_code):
                 sub for sub in table if subspace_distance(sub, r) <= 2 * e
             }
             assert got == expected
-
-
-def test_projected_and_coset_paths_agree(demo_code, received_r2):
-    direct = decode_list(demo_code, received_r2, 1, coset_limit=2**12)
-    projected = decode_list(demo_code, received_r2, 1, coset_limit=0)
-    assert projected.stats["solver_path"] == "projected"
-    assert direct.stats["solver_path"] == "coset"
-    assert [e.subspace for e in direct.entries] == [e.subspace for e in projected.entries]
-
-
-def test_decode_worker_count_does_not_change_output(demo_code, received_r2):
-    seq = decode_list(demo_code, received_r2, 1)
-    par = decode_list(demo_code, received_r2, 1, workers=4)
-    assert [e.subspace for e in seq.entries] == [e.subspace for e in par.entries]
 
 
 def test_decode_rejects_wrong_dimension(demo_code):
@@ -294,7 +285,7 @@ def test_decode_rejects_bad_radius_and_strategy(demo_code, received_r1):
 
 def test_decode_cap_exceeded(demo_code, received_r1):
     with pytest.raises(DecodeError):
-        decode_list(demo_code, received_r1, 1, enumeration_cap=1, coset_limit=0)
+        decode_list(demo_code, received_r1, 1, enumeration_cap=1)
 
 
 def test_infeasible_system_returns_empty():
