@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, FieldError, MatrixError
 from .gf import ExtElement, ExtFieldCtx, FieldCtx, ext_field, format_element
@@ -142,28 +142,20 @@ def var_name(t: Sequence[int], n: int) -> str:
     return "x(" + ",".join(str(x) for x in t) + ")"
 
 
+def format_sum(terms: Iterable[tuple[str, int]], q: int) -> str:
+    """'c*name' terms joined by '+', coefficients mod q, zero terms dropped."""
+    out = [name if c % q == 1 else f"{c % q}*{name}" for name, c in terms if c % q]
+    return "+".join(out) if out else "0"
+
+
 def format_linear(form: LinearForm, n: int, k: int, q: int) -> str:
-    terms = []
-    for t, c in zip(all_tuples(n, k), form.coeffs):
-        c %= q
-        if c == 0:
-            continue
-        name = var_name(t, n)
-        terms.append(name if c == 1 else f"{c}*{name}")
-    lhs = "+".join(terms) if terms else "0"
-    return f"{lhs} = {form.rhs % q}"
+    terms = ((var_name(t, n), c) for t, c in zip(all_tuples(n, k), form.coeffs))
+    return f"{format_sum(terms, q)} = {form.rhs % q}"
 
 
 def format_quadratic(rel: QuadraticRelation, n: int, q: int) -> str:
-    terms = []
-    for a, b, c in rel.terms:
-        c %= q
-        if c == 0:
-            continue
-        mono = f"{var_name(a, n)}*{var_name(b, n)}"
-        terms.append(mono if c == 1 else f"{c}*{mono}")
-    lhs = "+".join(terms) if terms else "0"
-    return f"{lhs} = 0"
+    terms = ((f"{var_name(a, n)}*{var_name(b, n)}", c) for a, b, c in rel.terms)
+    return f"{format_sum(terms, q)} = 0"
 
 
 def message_str(msg: Sequence[ExtElement]) -> str:

@@ -24,8 +24,10 @@ from .gf import (
     frobenius,
     lin_independent_over_base,
     phi,
+    phi_inv,
 )
-from .matgf import MatGF, rank, rref, vstack
+# vstack stays importable here: perfbench/spans.py wraps gabidulin.vstack
+from .matgf import MatGF, _echelon, random_matrix, rank, rref, solve_affine, vstack  # noqa: F401
 
 ENUMERATION_CAP = 2**24
 
@@ -105,6 +107,10 @@ class GabidulinCode:
             raise CodeError("generator elements from a different field context")
         if not lin_independent_over_base(self.g):
             raise CodeError("generator elements must be independent over the base field")
+        object.__setattr__(self, "_hash", hash((self.ext, self.k, self.delta, self.g)))
+
+    def __hash__(self) -> int:  # hashed once: codes key the per-candidate memo
+        return self._hash
 
     @property
     def q(self) -> int:
@@ -176,29 +182,24 @@ def encode(code: GabidulinCode, msg: Sequence[ExtElement]) -> RankCodeword:
     return RankCodeword(tuple(vec), mat)
 
 
+@lru_cache(maxsize=None)
+def _encoding_matrix(code: GabidulinCode) -> MatGF:
+    """Encoding as an F_q-linear map: column i*ell + j holds the codeword
+    matrix entries, row-major, of the message alpha^j e_i."""
+    m, ell, alpha, zero = code.msg_len, code.ell, code.ext.alpha(), code.ext.zero()
+    basis = ([alpha**j if t == i else zero for t in range(m)] for i in range(m) for j in range(ell))
+    cols = [encode(code, msg).mat.entries for msg in basis]
+    return MatGF.from_rows(code.ext.base, cols).transpose()
+
+
 def message_of(code: GabidulinCode, cw: RankCodeword) -> tuple[ExtElement, ...]:
-    """Recover the message of a codeword by solving msg . G = vec."""
-    G = generator_matrix(code)
-    m = code.msg_len
-    # elimination on the (k x m | k) system G^T x = vec^T over F_{q^l}
-    rows = [[G[i][j] for i in range(m)] + [cw.vec[j]] for j in range(code.k)]
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, code.k) if not rows[i][c].is_zero()), None)
-        if piv is None:
-            raise CodeError("not a codeword of this code")
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pinv = rows[r][c].inverse()
-        rows[r] = [x * pinv for x in rows[r]]
-        for i in range(code.k):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    for i in range(r, code.k):
-        if not rows[i][m].is_zero():
-            raise CodeError("not a codeword of this code")
-    return tuple(rows[i][m] for i in range(m))
+    """Recover the message of a codeword from its matrix over F_q: the
+    message coordinates x solve `_encoding_matrix` x = the matrix entries."""
+    sol = solve_affine(_encoding_matrix(code), cw.mat.entries)
+    if sol is None:
+        raise CodeError("not a codeword of this code")
+    x, ell = sol[0], code.ell
+    return tuple(phi_inv(code.ext, x[i * ell : (i + 1) * ell]) for i in range(code.msg_len))
 
 
 def rank_distance(a: RankCodeword | MatGF, b: RankCodeword | MatGF) -> int:
@@ -228,12 +229,12 @@ def lift(cw: RankCodeword | MatGF) -> Subspace:
 
 
 def subspace_distance(u: Subspace, v: Subspace) -> int:
-    """2k - 2 dim(U n V) for equal dimensions, via the stacked-rank identity."""
-    if u.n != v.n or u.k != v.k:
-        raise CodeError(
-            f"dimension mismatch: ({u.k}, {u.n}) vs ({v.k}, {v.n})"
-        )
-    return 2 * rank(vstack(u.basis, v.basis)) - 2 * u.k
+    """2k - 2 dim(U n V), from the rank of both bases' packed rows stacked."""
+    a, b = u.basis, v.basis
+    shape = (a.rows, a.cols, a.ctx.q)
+    if shape != (b.rows, b.cols, b.ctx.q):
+        raise CodeError(f"(k, n, q) mismatch: {shape} vs {(b.rows, b.cols, b.ctx.q)}")
+    return 2 * len(_echelon(a.packed + b.packed, a.cols, a.ctx.q)[0]) - 2 * a.rows
 
 
 def enumerate_messages(code: GabidulinCode) -> Iterator[tuple[ExtElement, ...]]:
@@ -296,8 +297,6 @@ def enumerate_grassmannian(ctx: FieldCtx, n: int, k: int) -> Iterator[Subspace]:
 
 
 def random_subspace(ctx: FieldCtx, n: int, k: int, rng) -> Subspace:
-    from .matgf import random_matrix
-
     while True:
         m = random_matrix(ctx, k, n, rng)
         if rank(m) == k:

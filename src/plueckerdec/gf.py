@@ -388,28 +388,9 @@ def frobenius(e: ExtElement, i: int) -> ExtElement:
 
 def lin_independent_over_base(elems: Sequence[ExtElement]) -> bool:
     """True iff the coordinate vectors are linearly independent over F_q."""
-    if not elems:
-        return True
-    ctx = elems[0].ctx
-    for e in elems[1:]:
-        if e.ctx != ctx:
-            raise FieldError("elements from different field contexts")
-    if len(elems) > ctx.ell:
-        return False
-    q = ctx.q
-    rows = [list(e.coeffs) for e in elems]
-    # small self-contained elimination; matgf depends on this module
-    rank = 0
-    for col in range(ctx.ell):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pinv = pow(rows[rank][col], q - 2, q)
-        rows[rank] = [(x * pinv) % q for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [(a - c * b) % q for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank == len(elems)
+    from .matgf import MatGF, rank  # matgf imports this module
+
+    if any(e.ctx != elems[0].ctx for e in elems):
+        raise FieldError("elements from different field contexts")
+    rows = [e.coeffs for e in elems]
+    return not rows or rank(MatGF.from_rows(elems[0].ctx.base, rows)) == len(rows)

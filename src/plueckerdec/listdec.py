@@ -26,11 +26,12 @@ from typing import Iterator, Sequence
 
 from .errors import DecodeError
 from .gf import ExtElement, phi_inv
-from .matgf import MatGF, _rref_rows, kernel_basis, rank, rref
+from .matgf import MatGF, _pack_row, _rref_rows, _unpack_row, kernel_basis, rank, rref
 from .gabidulin import (
     GabidulinCode,
     RankCodeword,
     Subspace,
+    _encoding_matrix,
     encode,
     enumerate_messages,
     lift,
@@ -111,18 +112,11 @@ def build_block_code(code: GabidulinCode) -> BlockCodeView:
     the base-field message basis alpha^j * e_i; Hp is the RREF kernel
     basis of their span.
     """
-    n, k, q = code.n, code.k, code.q
+    n, k, q, ell = code.n, code.k, code.q, code.ell
     positions = qualifying_tuples(n, k)
     places = _placements(n, k)
-    alpha = code.ext.alpha()
-    zero = code.ext.zero()
-    rows = []
-    for i in range(code.msg_len):
-        for j in range(code.ell):
-            msg = [zero] * code.msg_len
-            msg[i] = alpha**j
-            mat = encode(code, msg).mat
-            rows.append([mat.at(r, c) * sign % q for r, c, sign in places])
+    enc = _encoding_matrix(code)
+    rows = [[enc.at(r * ell + c, i) * sign % q for r, c, sign in places] for i in range(code.rho)]
     Gp = MatGF.from_rows(code.ext.base, rows)
     if rank(Gp) != code.rho:
         raise DecodeError("block code generator is rank deficient")
@@ -296,13 +290,14 @@ def _decode_paper(
     nb = len(block)
     cut = nvars - nb
 
-    aug = [[f.coeffs[p] for p in perm] + [f.rhs % q] for f in system.linear]
-    pivots = _rref_rows(aug, q)
+    width = nvars + 1  # the rhs is the last column
+    aug = [_pack_row([f.coeffs[p] for p in perm] + [f.rhs % q], q) for f in system.linear]
+    pivots = _rref_rows(aug, width, q)
     if pivots and pivots[-1] == nvars:
         return [], {"solver_path": "infeasible", "candidates_enumerated": 0}
 
     # pivot rows by block column; they are zero on the other coordinates
-    bound = {p - cut: row[cut:] for row, p in zip(aug, pivots) if p >= cut}
+    bound = {p - cut: _unpack_row(row, width, q)[cut:] for row, p in zip(aug, pivots) if p >= cut}
     places = _placements(n, k)
 
     def to_entries(vec: list[int]) -> list[int]:

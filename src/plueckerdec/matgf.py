@@ -1,16 +1,26 @@
-"""Dense exact matrices over a prime field F_q.
+"""Dense exact matrices over a prime field F_q, and their one elimination kernel.
 
 Matrices are immutable values; every operation returns a new matrix.
 Element access uses 0-based (i, j).  Index *tuples* in the public minor
 and pivot interfaces are 1-based, matching the usual mathematical
 convention for minors; the conversion happens only at that boundary.
+
+Every elimination runs on packed rows: a row of n entries is one Python
+int whose slot j, w bytes from byte j*w, holds entry j (`MatGF.packed`
+packs a matrix once).  A row operation pv * row + (q - v) * pivot row is
+one big-int multiply-add leaving at most 2(q-1)^2 in a slot, so slots
+never carry, and one pass reduces them all mod q: for q <= 11 slots are
+bytes and the pass is ``int.to_bytes(...).translate(table)`` with a table
+of b mod q built on first use of q; larger primes get the fewest bytes
+that hold 2(q-1)^2 and a slot-by-slot pass.  Over F_2 a row operation is
+one XOR.  A row's pivot is its lowest nonzero slot.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property, lru_cache
+from typing import Iterable, Sequence
 
 from .errors import MatrixError
 from .gf import FieldCtx
@@ -61,6 +71,12 @@ class MatGF:
 
     def to_lists(self) -> list[list[int]]:
         return [self.row_list(i) for i in range(self.rows)]
+
+    @cached_property
+    def packed(self) -> tuple[int, ...]:
+        """The rows as packed ints (see the module docstring), computed once."""
+        c, q = self.cols, self.ctx.q
+        return tuple(_pack_row(self.entries[i * c : (i + 1) * c], q) for i in range(self.rows))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -133,86 +149,113 @@ def vstack(a: MatGF, b: MatGF) -> MatGF:
     return MatGF(a.ctx, a.rows + b.rows, a.cols, a.entries + b.entries)
 
 
-def hstack(a: MatGF, b: MatGF) -> MatGF:
-    if a.ctx != b.ctx or a.rows != b.rows:
-        raise MatrixError("hstack needs equal field and row count")
-    ent = []
-    for i in range(a.rows):
-        ent.extend(a.entries[i * a.cols : (i + 1) * a.cols])
-        ent.extend(b.entries[i * b.cols : (i + 1) * b.cols])
-    return MatGF(a.ctx, a.rows, a.cols + b.cols, tuple(ent))
-
-
 # ---------------------------------------------------------------------------
 # Elimination
 # ---------------------------------------------------------------------------
 
-def _rref_rows(rows: list[list[int]], q: int) -> list[int]:
-    """In-place reduced row echelon form; returns 0-based pivot columns."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
+@lru_cache(maxsize=None)
+def _slots(q: int) -> tuple[int, bytes | None]:
+    """Bytes per packed slot over F_q, and the table of b mod q when that is 1."""
+    w = 1
+    while 2 * (q - 1) ** 2 >> 8 * w:
+        w += 1
+    return w, bytes(b % q for b in range(256)) if w == 1 else None
+
+
+def _pack_row(row: Sequence[int], q: int) -> int:
+    """One packed row from entries already reduced mod q."""
+    w, table = _slots(q)
+    if table is not None:
+        return int.from_bytes(bytes(row), "little")
+    return int.from_bytes(b"".join(x.to_bytes(w, "little") for x in row), "little")
+
+
+def _unpack_row(r: int, n: int, q: int) -> list[int]:
+    w = _slots(q)[0]
+    b = r.to_bytes(n * w, "little")
+    if w == 1:
+        return list(b)
+    return [int.from_bytes(b[i : i + w], "little") for i in range(0, len(b), w)]
+
+
+def _reduce(r: int, n: int, q: int) -> int:
+    """Every slot of a packed row with n slots taken mod q."""
+    table = _slots(q)[1]
+    if table is not None:
+        return int.from_bytes(r.to_bytes(n, "little").translate(table), "little")
+    return _pack_row([x % q for x in _unpack_row(r, n, q)], q)
+
+
+def _echelon(rows: Iterable[int], n: int, q: int) -> tuple[dict[int, int], int]:
+    """Row echelon form of packed rows with n slots.
+
+    Each row is cleared at its lowest nonzero slot c, as pv * row - v * p
+    with p the pivot row of column c and pv its pivot, until it vanishes or
+    opens a new column.  Returns {pivot column: pivot row} in opening order
+    and the product mod q of the factors pv: a full-rank square matrix has
+    det = sign(columns in opening order) * product of pivots / that product.
+    """
+    w, table = _slots(q)
+    bits = 8 * w
+    mask = (1 << bits) - 1
+    piv: dict[int, int] = {}
+    scale = 1
+    for r in rows:
+        while r:
+            c = ((r & -r).bit_length() - 1) // bits
+            p = piv.get(c)
+            if p is None:
+                piv[c] = r
                 break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            pinv = pow(pv, q - 2, q)
-            rows[r] = [(x * pinv) % q for x in rows[r]]
-        prow = rows[r]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+            if q == 2:  # the row operation is r + p, slot by slot mod 2
+                r ^= p
+                continue
+            v = r >> c * bits & mask
+            pv = p >> c * bits & mask
+            if pv != 1:
+                r *= pv
+                scale = scale * pv % q
+            r += (q - v) * p
+            if table is not None:  # _reduce, inlined on the hot path
+                r = int.from_bytes(r.to_bytes(n, "little").translate(table), "little")
+            else:
+                r = _reduce(r, n, q)
+    return piv, scale
+
+
+def _rref_rows(rows: list[int], n: int, q: int) -> list[int]:
+    """In-place RREF of packed rows with n slots, zero rows last; returns the pivot columns."""
+    piv, _ = _echelon(rows, n, q)
+    cols = sorted(piv)
+    bits = 8 * _slots(q)[0]
+    mask = (1 << bits) - 1
+    # scale each pivot to 1 and clear its column above, last column first,
+    # so the pivot row added is already clear of every later pivot column
+    for t in range(len(cols) - 1, -1, -1):
+        c = cols[t]
+        v = piv[c] >> c * bits & mask
+        if v != 1:
+            piv[c] = _reduce(piv[c] * pow(v, q - 2, q), n, q)
+        for a in cols[:t]:
+            v = piv[a] >> c * bits & mask
+            if v:
+                piv[a] = _reduce(piv[a] + (q - v) * piv[c], n, q)
+    rows[:] = [piv[c] for c in cols] + [0] * (len(rows) - len(cols))
+    return cols
 
 
 def rref(m: MatGF) -> tuple[MatGF, tuple[int, ...]]:
     """Reduced row echelon form and 1-based pivot columns."""
-    rows = m.to_lists()
-    pivots = _rref_rows(rows, m.ctx.q)
-    return MatGF.from_rows(m.ctx, rows) if rows else m, tuple(p + 1 for p in pivots)
+    n, q = m.cols, m.ctx.q
+    rows = list(m.packed)
+    pivots = _rref_rows(rows, n, q)
+    red = MatGF(m.ctx, m.rows, n, tuple(x for r in rows for x in _unpack_row(r, n, q)))
+    red.__dict__["packed"] = tuple(rows)  # the cached_property's slot
+    return red, tuple(p + 1 for p in pivots)
 
 
 def rank(m: MatGF) -> int:
-    rows = m.to_lists()
-    return len(_rref_rows(rows, m.ctx.q))
-
-
-def _det_rows(rows: list[list[int]], q: int) -> int:
-    """Determinant of a small square matrix by elimination, exact mod q."""
-    n = len(rows)
-    det = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = -det
-        pv = rows[c][c]
-        det = (det * pv) % q
-        pinv = pow(pv, q - 2, q)
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = (rows[i][c] * pinv) % q
-                rows[i] = [(x - f * y) % q for x, y in zip(rows[i], rows[c])]
-    return det % q
+    return len(_echelon(m.packed, m.cols, m.ctx.q)[0])
 
 
 def det(m: MatGF) -> int:
@@ -222,10 +265,10 @@ def det(m: MatGF) -> int:
 
 
 def _det_submatrix(m: MatGF, ri: tuple[int, ...], ci: tuple[int, ...]) -> int:
-    """Determinant of the 0-indexed submatrix; small sizes are unrolled.
+    """Determinant of the 0-indexed submatrix.
 
     The unrolled 2x2/3x3 cases carry the hot loop of ball-equation and
-    embedding computations.
+    embedding computations; larger minors take a sign-tracked elimination.
     """
     q = m.ctx.q
     e = m.entries
@@ -246,19 +289,16 @@ def _det_submatrix(m: MatGF, ri: tuple[int, ...], ci: tuple[int, ...]) -> int:
         d, f, g = e[r1 + c0], e[r1 + c1], e[r1 + c2]
         h, i, j = e[r2 + c0], e[r2 + c1], e[r2 + c2]
         return (a * (f * j - g * i) - b * (d * j - g * h) + c * (d * i - f * h)) % q
-    if k == 4:
-        # expand along the first row into unrolled 3x3 minors
-        total = 0
-        sign = 1
-        for t in range(4):
-            v = e[ri[0] * w + ci[t]]
-            if v:
-                sub_ci = ci[:t] + ci[t + 1 :]
-                total += sign * v * _det_submatrix(m, ri[1:], sub_ci)
-            sign = -sign
-        return total % q
-    rows = [[e[i * w + j] for j in ci] for i in ri]
-    return _det_rows(rows, q)
+    piv, scale = _echelon([_pack_row([e[i * w + j] for j in ci], q) for i in ri], k, q)
+    if len(piv) < k:
+        return 0
+    cols = list(piv)
+    swaps = sum(a > b for t, a in enumerate(cols) for b in cols[t + 1 :])
+    total = (-1) ** swaps * pow(scale, q - 2, q)
+    bits = 8 * _slots(q)[0]
+    for c, r in piv.items():
+        total *= r >> c * bits & (1 << bits) - 1
+    return total % q
 
 
 def _check_index_tuple(t: Sequence[int], upper: int, what: str) -> tuple[int, ...]:
@@ -281,21 +321,18 @@ def minor(m: MatGF, row_idx: Sequence[int], col_idx: Sequence[int]) -> int:
 
 def kernel_basis(m: MatGF) -> MatGF:
     """Basis of the right null space {x : m @ x^T = 0}, one vector per row."""
-    q = m.ctx.q
-    rows = m.to_lists()
-    pivots = _rref_rows(rows, q)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    q, n = m.ctx.q, m.cols
+    rows = list(m.packed)
+    pivots = _rref_rows(rows, n, q)
+    red = [_unpack_row(r, n, q) for r in rows[: len(pivots)]]
     basis = []
-    for f in free:
-        vec = [0] * m.cols
+    for f in sorted(set(range(n)) - set(pivots)):
+        vec = [0] * n
         vec[f] = 1
-        for r, p in enumerate(pivots):
-            vec[p] = -rows[r][f] % q
+        for row, p in zip(red, pivots):
+            vec[p] = -row[f] % q
         basis.append(vec)
-    if not basis:
-        return MatGF(m.ctx, 0, m.cols, ())
-    return MatGF.from_rows(m.ctx, basis)
+    return MatGF(m.ctx, len(basis), n, tuple(x for vec in basis for x in vec))
 
 
 def solve_affine(
@@ -307,18 +344,16 @@ def solve_affine(
     """
     if len(rhs) != m.rows:
         raise MatrixError(f"rhs length {len(rhs)} != row count {m.rows}")
-    q = m.ctx.q
-    aug = [m.row_list(i) + [rhs[i] % q] for i in range(m.rows)]
-    if not aug:
-        return (0,) * m.cols, MatGF.identity(m.ctx, m.cols)
-    pivots = _rref_rows(aug, q)
-    if pivots and pivots[-1] == m.cols:
+    q, n = m.ctx.q, m.cols
+    shift = 8 * _slots(q)[0] * n  # the rhs sits in slot n
+    aug = [r | b % q << shift for r, b in zip(m.packed, rhs)]
+    pivots = _rref_rows(aug, n + 1, q)
+    if pivots and pivots[-1] == n:
         return None  # pivot in the rhs column
-    particular = [0] * m.cols
-    for r, p in enumerate(pivots):
-        particular[p] = aug[r][m.cols]
-    coeff = MatGF.from_rows(m.ctx, [row[: m.cols] for row in aug])
-    return tuple(particular), kernel_basis(coeff)
+    particular = [0] * n
+    for r, p in zip(aug, pivots):
+        particular[p] = r >> shift
+    return tuple(particular), kernel_basis(m)
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +394,3 @@ def mat_from_text(ctx: FieldCtx, text: str) -> MatGF:
         except ValueError:
             raise MatrixError(f"bad matrix row: {line!r}") from None
     return MatGF.from_rows(ctx, rows)
-
-
-def mat_to_json(m: MatGF) -> str:
-    return json.dumps(m.to_lists())
-
-
-def mat_from_lists(ctx: FieldCtx, data: Sequence[Sequence[int]]) -> MatGF:
-    return MatGF.from_rows(ctx, data)

@@ -132,6 +132,8 @@ def embed(u: Subspace) -> PlueckerVector:
     first nonzero minor sits at the pivot tuple and equals 1.
     """
     k, n = u.k, u.n
+    if k == 0:
+        raise GrassmannError("a 0-dimensional space has no Pluecker embedding")
     rows = tuple(range(k))
     basis = u.basis
     coords = [_det_submatrix(basis, rows, t) for t in _zero_based_tuples(n, k)]
@@ -177,8 +179,10 @@ def shuffle_relations(n: int, k: int) -> tuple[QuadraticRelation, ...]:
     elements b, the relation is sum_j (-1)^(j+1) x_(a,b_j) x_(b minus b_j).
     Every embedded point satisfies all of them; for k = 1 the terms cancel
     identically, matching the fact that G_q(1, n) is all of projective
-    space.
+    space.  Needs 1 <= k <= n.
     """
+    if not 1 <= k <= n:
+        raise GrassmannError(f"need 1 <= k <= n, got n={n}, k={k}")
     if 2 * k > n:
         return ()
     relations = []

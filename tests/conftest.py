@@ -1,7 +1,14 @@
 import pytest
+from hypothesis import settings
 
 from plueckerdec import Subspace, ext_field, make_code
 from plueckerdec.matgf import mat_from_text
+
+# One profile for the whole suite: no per-example deadline, since a shared
+# or loaded host stretches single examples, and a fixed example sequence,
+# so every run of the suite checks the same inputs.
+settings.register_profile("repo", deadline=None, derandomize=True)
+settings.load_profile("repo")
 
 
 @pytest.fixture(scope="session")

@@ -212,6 +212,22 @@ def test_simulate_negative_trials_is_domain_error(capsys):
     assert json.loads(err)["module"] == "channel"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shuffle", "--q", "2", "--n", "0", "--k", "0"],
+        ["shuffle", "--q", "2", "--n", "3", "--k", "5"],
+        ["embed", "--q", "3", "--matrix", "0 0 0;0 0 0"],
+    ],
+    ids=["shuffle-k0", "shuffle-k-above-n", "embed-zero-space"],
+)
+def test_degenerate_grassmannian_is_domain_error(capsys, argv):
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 1
+    assert out == ""
+    assert json.loads(err)["module"] == "pluecker"
+
+
 def test_element_grammar():
     ext = ext_field(2, 2)
     assert parse_element(ext, "alpha") == ext.alpha()

@@ -212,8 +212,18 @@ def test_encode_injective():
 
 def test_message_of_roundtrip():
     code = make_code(2, 6, 3, 2)
+    words = set()
     for msg in enumerate_messages(code):
-        assert message_of(code, encode(code, msg)) == msg
+        cw = encode(code, msg)
+        assert message_of(code, cw) == msg
+        words.add(cw.mat.entries)
+    # a matrix outside the code has no message
+    ext = code.ext
+    for flat in itertools.product(range(2), repeat=9):
+        if flat not in words:
+            vec = tuple(ext.element(flat[3 * i : 3 * i + 3]) for i in range(3))
+            with pytest.raises(CodeError):
+                message_of(code, RankCodeword(vec, MatGF(ext.base, 3, 3, flat)))
 
 
 def test_code_validation():

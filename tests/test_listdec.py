@@ -3,7 +3,10 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from plueckerdec.channel import ChannelConfig, corrupt
 from plueckerdec.errors import DecodeError
 from plueckerdec.gf import FieldCtx
 from plueckerdec.matgf import MatGF, minor
@@ -251,6 +254,26 @@ def test_strategies_agree_q5_both_solver_paths():
                 assert [en.subspace for en in paper.entries] == oracle
                 paths.add(paper.stats["solver_path"])
         assert paths == {"projected", "infeasible"}
+
+
+@given(st.sampled_from([(4, 2, 2), (5, 2, 2), (6, 3, 3)]), st.integers(0, 2**32))
+@settings(max_examples=150)
+def test_paper_equals_oracle_q5(params, seed):
+    """q = 5 sets outside the exhaustive sweep; (6, 3, 3) is in no shipped
+    set.  Received spaces are uniform, or a codeword corrupted by t errors."""
+    code = make_code(5, *params)
+    rng = random.Random(seed)
+    k = code.k
+    if rng.random() < 0.5:
+        r = random_subspace(code.ext.base, code.n, k, rng)
+    else:
+        msg = [code.ext.element_at(rng.randrange(code.ext.order)) for _ in range(code.msg_len)]
+        t = rng.randrange(k + 1)
+        r = corrupt(lift(encode(code, msg)), ChannelConfig(seed=rng.randrange(2**32), t=t))
+    for e in range(k + 1):
+        oracle = decode_list(code, r, e, "oracle").entries
+        paper = decode_list(code, r, e, "paper").entries
+        assert [en.message for en in paper] == [en.message for en in oracle]
 
 
 def test_decoder_completeness_equivalence(demo_code):

@@ -62,7 +62,7 @@ def test_tuple_validation():
 
 
 @given(st.integers(1, 9), st.data())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_tuple_rank_unrank_roundtrip(n, data):
     k = data.draw(st.integers(1, n))
     r = data.draw(st.integers(0, comb(n, k) - 1))
