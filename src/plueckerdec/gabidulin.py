@@ -27,9 +27,9 @@ from .gf import (
     phi_inv,
 )
 # vstack stays importable here: perfbench/spans.py wraps gabidulin.vstack
-from .matgf import MatGF, _echelon, random_matrix, rank, rref, solve_affine, vstack  # noqa: F401
+from .matgf import MatGF, _echelon, random_matrix, rank, rref, vstack  # noqa: F401
 
-ENUMERATION_CAP = 2**24
+ENUMERATION_CAP = 2**20
 
 
 @dataclass(frozen=True)
@@ -192,13 +192,46 @@ def _encoding_matrix(code: GabidulinCode) -> MatGF:
     return MatGF.from_rows(code.ext.base, cols).transpose()
 
 
+@lru_cache(maxsize=None)
+def _message_map(code: GabidulinCode) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """An information set S of the encoding E (rho independent rows of E)
+    and rows R inverting E there: the codeword with matrix entries y has
+    the message coordinates x = sum_s y[S[s]] * R[s].
+
+    One RREF of [E^T | I] gives both: its pivots are the lex-first
+    information set, and its right block is the inverse of E^T on those
+    columns, whose transpose is the inverse of E on those rows.
+    """
+    enc, rho = _encoding_matrix(code), code.rho
+    rows = [list(enc.entries[t::rho]) + [int(s == t) for s in range(rho)] for t in range(rho)]
+    red, pivots = rref(MatGF.from_rows(code.ext.base, rows))
+    return tuple(p - 1 for p in pivots), tuple(tuple(red.row_list(s)[enc.rows :]) for s in range(rho))
+
+
+def message_coords(code: GabidulinCode, entries: Sequence[int]) -> tuple[int, ...] | None:
+    """F_q message coordinates x with `_encoding_matrix` x = the row-major
+    matrix entries (coordinate i*ell + j is alpha^j of message symbol i),
+    or None when the entries are not a codeword's."""
+    if len(entries) != code.k * code.ell:
+        return None
+    info, inv = _message_map(code)
+    q, rho = code.q, code.rho
+    x = [0] * rho
+    for s, row in zip(info, inv):
+        y = entries[s]
+        if y:
+            x = [a + y * b for a, b in zip(x, row)]
+    x = tuple(a % q for a in x)
+    image = _encoding_matrix(code) @ MatGF(code.ext.base, rho, 1, x)
+    return x if image.entries == tuple(entries) else None
+
+
 def message_of(code: GabidulinCode, cw: RankCodeword) -> tuple[ExtElement, ...]:
-    """Recover the message of a codeword from its matrix over F_q: the
-    message coordinates x solve `_encoding_matrix` x = the matrix entries."""
-    sol = solve_affine(_encoding_matrix(code), cw.mat.entries)
-    if sol is None:
+    """Recover the message of a codeword from its matrix over F_q."""
+    x = message_coords(code, cw.mat.entries)
+    if x is None:
         raise CodeError("not a codeword of this code")
-    x, ell = sol[0], code.ell
+    ell = code.ell
     return tuple(phi_inv(code.ext, x[i * ell : (i + 1) * ell]) for i in range(code.msg_len))
 
 
@@ -242,11 +275,6 @@ def enumerate_messages(code: GabidulinCode) -> Iterator[tuple[ExtElement, ...]]:
     symbols = [code.ext.element_at(i) for i in range(code.ext.order)]
     for msg in itertools.product(symbols, repeat=code.msg_len):
         yield msg
-
-
-def message_key(code: GabidulinCode, msg: Sequence[ExtElement]) -> tuple[int, ...]:
-    """Sort key putting messages in the enumerate order."""
-    return tuple(code.ext.index(m) for m in msg)
 
 
 def enumerate_code(

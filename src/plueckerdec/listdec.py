@@ -12,8 +12,9 @@ Three interchangeable strategies return that list: solving the equation
 system (`paper`), enumerating codewords against the ball forms
 (`reduced`), and enumerating codewords against the distance itself
 (`oracle`).  `paper` eliminates once, enumerates the projection of the
-solution set onto the qualifying coordinates, and keeps the codewords
-whose embeddings satisfy the complete system.
+solution set onto the qualifying coordinates by message index, and keeps
+the codewords whose embeddings satisfy the complete system.  Every
+strategy lists its codewords in message order.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import DecodeError
 from .gf import ExtElement, phi_inv
 from .matgf import MatGF, _pack_row, _rref_rows, _unpack_row, kernel_basis, rank, rref
 from .gabidulin import (
+    ENUMERATION_CAP,
     GabidulinCode,
     RankCodeword,
     Subspace,
@@ -35,8 +37,7 @@ from .gabidulin import (
     encode,
     enumerate_messages,
     lift,
-    message_key,
-    message_of,
+    message_coords,
     subspace_distance,
 )
 from .pluecker import (
@@ -54,8 +55,6 @@ from .pluecker import (
 )
 
 STRATEGIES = ("paper", "reduced", "oracle")
-
-DEFAULT_ENUMERATION_CAP = 2**20
 
 
 @lru_cache(maxsize=None)
@@ -220,9 +219,7 @@ class DecodeList:
 
 
 @lru_cache(maxsize=32)
-def _code_table(
-    code: GabidulinCode, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[DecodeEntry, ...]:
+def _code_table(code: GabidulinCode, cap: int = ENUMERATION_CAP) -> tuple[DecodeEntry, ...]:
     """All codewords with their liftings and embeddings, message-lex order."""
     if code.size > cap:
         raise DecodeError(f"code size {code.size} exceeds the enumeration cap {cap}")
@@ -235,13 +232,22 @@ def _code_table(
 
 
 @lru_cache(maxsize=2**16)
-def _entry_for_matrix(code: GabidulinCode, mat: MatGF) -> DecodeEntry:
-    """Codeword entry determined by a matrix; candidates recur across
-    received spaces, so this is memoized."""
-    vec = tuple(phi_inv(code.ext, mat.row_list(i)) for i in range(code.k))
-    cw = RankCodeword(vec, mat)
+def _entry_at(code: GabidulinCode, index: int) -> DecodeEntry:
+    """Entry of the message at `index` in `enumerate_messages` order, its
+    codeword matrix the encoding matrix times the message coordinates;
+    candidates recur across received spaces, so this is memoized."""
+    ext = code.ext
+    msg = []
+    for _ in range(code.msg_len):
+        index, i = divmod(index, ext.order)
+        msg.append(ext.element_at(i))
+    msg.reverse()
+    x = tuple(c for m in msg for c in m.coeffs)
+    mat = _encoding_matrix(code) @ MatGF(ext.base, code.rho, 1, x)
+    mat = MatGF(ext.base, code.k, code.ell, mat.entries)
+    cw = RankCodeword(tuple(phi_inv(ext, mat.row_list(i)) for i in range(code.k)), mat)
     sub = lift(cw)
-    return DecodeEntry(message_of(code, cw), cw, sub, embed(sub))
+    return DecodeEntry(tuple(msg), cw, sub, embed(sub))
 
 
 def _pack(forms: Sequence[LinearForm], q: int) -> list[tuple[tuple, int]]:
@@ -277,8 +283,11 @@ def _decode_paper(
     coordinates ordered first, decides feasibility.  Its rows whose pivots
     land among the k(n-k) qualifying coordinates constrain those alone:
     they cut out the projection of the solution set, an affine coset that
-    the placement table carries into codeword-matrix entries.  Every
-    matrix of the coset is re-embedded and kept only when its embedding
+    the placement table carries into codeword-matrix entries.  The parity
+    forms are among those rows, so the coset lies in the code, and the
+    inverse of the encoding carries it into message digits, most
+    significant first.  Walked from an RREF basis there, its points come
+    in message order; each is re-embedded and kept only when its embedding
     satisfies the complete system, linear forms and shuffle relations.
     """
     n, k, ell, q = code.n, code.k, code.ell, code.q
@@ -299,33 +308,47 @@ def _decode_paper(
     # pivot rows by block column; they are zero on the other coordinates
     bound = {p - cut: _unpack_row(row, width, q)[cut:] for row, p in zip(aug, pivots) if p >= cut}
     places = _placements(n, k)
+    # message coordinate i*ell + j (alpha^j of symbol i) by significance
+    order = [i * ell + j for i in range(code.msg_len) for j in reversed(range(ell))]
 
-    def to_entries(vec: list[int]) -> list[int]:
+    def to_digits(vec: list[int]) -> list[int]:
         flat = [0] * (k * ell)
         for (i, j, sign), v in zip(places, vec):
             flat[i * ell + j] = v * sign % q
-        return flat
+        x = message_coords(code, flat)
+        if x is None:
+            raise DecodeError("the projected coset leaves the code")
+        return [x[t] for t in order]
 
-    particular = to_entries([bound[j][nb] if j in bound else 0 for j in range(nb)])
+    base = to_digits([bound[j][nb] if j in bound else 0 for j in range(nb)])
     kernel = []
     for f in range(nb):
         if f not in bound:
             vec = [-bound[j][f] % q if j in bound else 0 for j in range(nb)]
             vec[f] = 1
-            kernel.append(to_entries(vec))
+            kernel.append(_pack_row(to_digits(vec), q))
     total = q ** len(kernel)
     if total > enumeration_cap:
         raise DecodeError(
             f"{total} candidate assignments exceed the enumeration cap {enumeration_cap}"
         )
+    # clear the base at the pivots: a point's digit at pivot t is then the
+    # coefficient of basis row t, so the walk's counting order is index order
+    pivots = _rref_rows(kernel, code.rho, q)
+    kernel = [_unpack_row(row, code.rho, q) for row in kernel]
+    for row, p in zip(kernel, pivots):
+        c = base[p]
+        base = [(a - c * b) % q for a, b in zip(base, row)]
 
-    ctx = code.ext.base
     # ball forms first: they are the ones a wrong candidate fails
     linear = _pack(system.linear[::-1], q)
     quadratic = [_indexed_terms(rel) for rel in system.quadratic]
     entries = []
-    for flat in _coset(particular, kernel, q):
-        entry = _entry_for_matrix(code, MatGF(ctx, k, ell, flat))
+    for point in _coset(base, kernel, q):
+        index = 0
+        for d in point:
+            index = index * q + d
+        entry = _entry_at(code, index)
         x = entry.pluecker.coords
         if _holds(x, linear, q) and not any(
             sum(c * x[a] * x[b] for a, b, c in terms) % q for terms in quadratic
@@ -364,11 +387,11 @@ def decode_list(
     e: int,
     strategy: str = "paper",
     *,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
+    enumeration_cap: int = ENUMERATION_CAP,
 ) -> DecodeList:
     """Complete list of codewords within subspace distance 2e of r.
 
-    All strategies return the same entries, sorted by message; they differ
+    All strategies return the same entries, in message order; they differ
     only in how the list is derived.
     """
     _check_decode_args(code, r, e)
@@ -381,7 +404,6 @@ def decode_list(
         entries, extra = _decode_reduced(code, r, e, enumeration_cap)
     else:
         entries, extra = _decode_oracle(code, r, e, enumeration_cap)
-    entries.sort(key=lambda entry: message_key(code, entry.message))
     stats = {
         "strategy": strategy,
         "linear_eqs": tau_count(code.n, code.k, e) + 1 + (code.delta - 1) * (code.n - code.k),

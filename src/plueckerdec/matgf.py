@@ -321,24 +321,14 @@ def minor(m: MatGF, row_idx: Sequence[int], col_idx: Sequence[int]) -> int:
 
 def kernel_basis(m: MatGF) -> MatGF:
     """Basis of the right null space {x : m @ x^T = 0}, one vector per row."""
-    q, n = m.ctx.q, m.cols
-    rows = list(m.packed)
-    pivots = _rref_rows(rows, n, q)
-    red = [_unpack_row(r, n, q) for r in rows[: len(pivots)]]
-    basis = []
-    for f in sorted(set(range(n)) - set(pivots)):
-        vec = [0] * n
-        vec[f] = 1
-        for row, p in zip(red, pivots):
-            vec[p] = -row[f] % q
-        basis.append(vec)
-    return MatGF(m.ctx, len(basis), n, tuple(x for vec in basis for x in vec))
+    return solve_affine(m, (0,) * m.rows)[1]
 
 
 def solve_affine(
     m: MatGF, rhs: Sequence[int]
 ) -> tuple[tuple[int, ...], MatGF] | None:
-    """Full solution set of m x = rhs as (particular, kernel basis).
+    """Full solution set of m x = rhs as (particular, kernel basis), both
+    read off one RREF of the augmented rows.
 
     Returns None when the system is inconsistent.
     """
@@ -351,9 +341,18 @@ def solve_affine(
     if pivots and pivots[-1] == n:
         return None  # pivot in the rhs column
     particular = [0] * n
+    red = []
     for r, p in zip(aug, pivots):
         particular[p] = r >> shift
-    return tuple(particular), kernel_basis(m)
+        red.append(_unpack_row(r & (1 << shift) - 1, n, q))
+    basis = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        vec = [0] * n
+        vec[f] = 1
+        for row, p in zip(red, pivots):
+            vec[p] = -row[f] % q
+        basis.append(vec)
+    return tuple(particular), MatGF(m.ctx, len(basis), n, tuple(x for vec in basis for x in vec))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plueckerdec.cli import main, parse_element
+from plueckerdec.listdec import STRATEGIES
 from plueckerdec.gf import ext_field
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -188,6 +193,18 @@ def test_invalid_parameters_rejected(capsys):
     assert json.loads(err)["module"] == "gabidulin"
 
 
+def test_code_above_enumeration_cap_fails_at_once(capsys):
+    # 3^15 codewords, over the enumeration cap: rejected before any output
+    rc, out, err = run_cli(
+        capsys, ["code", "--q", "3", "--n", "10", "--k", "5", "--delta", "3"]
+    )
+    assert rc == 1
+    assert out == ""
+    detail = json.loads(err)
+    assert detail["module"] == "gabidulin"
+    assert "enumeration cap" in detail["error"]
+
+
 def test_simulate_json_lines(capsys):
     rc, out, _ = run_cli(
         capsys,
@@ -243,3 +260,85 @@ def test_element_grammar():
         parse_element(ext, "beta+1")
     with pytest.raises(FieldError):
         parse_element(ext, "")
+
+
+# -- fuzzing the documented grammar ------------------------------------------
+# Each argument is drawn well-formed three times in four, so that about one
+# decode in five gets past validation; q = 5 keeps n <= 5 off the shipped
+# shapes, so no code drawn has more than 5^4 codewords.
+
+small = st.integers(-1, 6)
+
+
+@st.composite
+def mostly(draw, valid, wild):
+    return draw(valid if draw(st.integers(0, 3)) else wild)
+
+
+@st.composite
+def matrix_texts(draw, rows, cols):
+    rows, cols = draw(mostly(st.just((max(rows, 0), max(cols, 0))),
+                             st.tuples(st.integers(0, 4), st.integers(0, 6))))
+    cells = st.lists(st.integers(-2, 6), min_size=cols, max_size=cols)
+    grid = draw(st.lists(cells, min_size=rows, max_size=rows))
+    text = ";".join(" ".join(map(str, row)) for row in grid)
+    return draw(mostly(st.just(text), st.just("@no/such/file.txt") | st.text("012 ;-x\n", max_size=12)))
+
+
+@st.composite
+def code_args(draw):
+    q = draw(mostly(st.sampled_from([2, 3, 5]), st.sampled_from([-1, 0, 1, 4])))
+    shapes = [(4, 2, 2), (5, 2, 2), (6, 3, 3)] + ([(6, 3, 2)] if q < 5 else [])
+    wild = st.tuples(st.integers(-1, 5 if q == 5 else 6), small, small)
+    n, k, delta = draw(mostly(st.sampled_from(shapes), wild))
+    argv = ["--q", str(q), "--n", str(n), "--k", str(k), "--delta", str(delta)]
+    for flag, options in (
+        ("--modulus", ["1,1,1", "1,1", "2,1,1", "1,0,1", "1,1,0,1", "2,1,0,1", "0", "", "a", "-1,1"]),
+        ("--g", ["alpha,1", "1,alpha", "[1,1],alpha", "alpha^2,alpha,1", "1,1", "alpha^", "[]",
+                 "[1.5]", "", "-alpha,2*alpha", "alpha^-1,1"]),
+    ):
+        value = draw(mostly(st.none(), st.sampled_from(options)))
+        if value is not None:
+            argv += [flag, value]
+    return argv, n, k
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(["decode", "embed", "ball", "shuffle", "code"]))
+    fmt = ["--format", draw(st.sampled_from(["text", "json"]))]
+    if command in ("code", "decode"):
+        args, n, k = draw(code_args())
+        if command == "code":
+            return ["code", *args, *fmt]
+        e = draw(mostly(st.integers(0, max(k, 0)), small))
+        return ["decode", *args, "--received", draw(matrix_texts(k, n)), "--e", str(e),
+                "--strategy", draw(st.sampled_from(STRATEGIES)), *fmt]
+    q = draw(mostly(st.sampled_from([2, 3, 5]), small))
+    n, k = draw(mostly(st.sampled_from([(4, 2), (5, 2), (6, 3), (3, 1)]), st.tuples(small, small)))
+    if command == "shuffle":
+        return ["shuffle", "--q", str(q), "--n", str(n), "--k", str(k), *fmt]
+    if command == "embed":
+        return ["embed", "--q", str(q), "--matrix", draw(matrix_texts(k, n)), *fmt]
+    dims = []
+    for flag, value in (("--n", n), ("--k", k)):
+        if draw(st.booleans()):
+            dims += [flag, str(draw(mostly(st.just(value), small)))]
+    e = draw(mostly(st.integers(0, max(k, 0)), small))
+    return ["ball", "--q", str(q), *dims, "--received", draw(matrix_texts(k, n)), "--e", str(e), *fmt]
+
+
+@settings(max_examples=300)
+@given(cli_argvs())
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    # a drawn "-" reads the matrix from an empty stdin
+    with redirect_stdout(out), redirect_stderr(err), patch("sys.stdin", io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            rc = exc.code
+    assert rc in (0, 1, 2)
+    if rc == 1:
+        detail = json.loads(err.getvalue())
+        assert set(detail) == {"module", "error"}

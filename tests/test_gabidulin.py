@@ -210,20 +210,22 @@ def test_encode_injective():
         seen[cw.mat] = msg
 
 
-def test_message_of_roundtrip():
-    code = make_code(2, 6, 3, 2)
+@pytest.mark.parametrize("q,n,k,delta", [(2, 6, 3, 2), (3, 6, 3, 2), (5, 5, 2, 2)])
+def test_message_of_roundtrip(q, n, k, delta):
+    code = make_code(q, n, k, delta)
     words = set()
     for msg in enumerate_messages(code):
         cw = encode(code, msg)
         assert message_of(code, cw) == msg
         words.add(cw.mat.entries)
-    # a matrix outside the code has no message
-    ext = code.ext
-    for flat in itertools.product(range(2), repeat=9):
+    assert len(words) == code.size
+    # every matrix outside the code has no message
+    ext, ell = code.ext, code.ell
+    for flat in itertools.product(range(q), repeat=k * ell):
         if flat not in words:
-            vec = tuple(ext.element(flat[3 * i : 3 * i + 3]) for i in range(3))
+            vec = tuple(ext.element(flat[ell * i : ell * (i + 1)]) for i in range(k))
             with pytest.raises(CodeError):
-                message_of(code, RankCodeword(vec, MatGF(ext.base, 3, 3, flat)))
+                message_of(code, RankCodeword(vec, MatGF(ext.base, k, ell, flat)))
 
 
 def test_code_validation():

@@ -21,6 +21,7 @@ from plueckerdec.gabidulin import (
     subspace_distance,
 )
 from plueckerdec.listdec import (
+    _code_table,
     build_block_code,
     decode_list,
     extended_parity,
@@ -28,6 +29,7 @@ from plueckerdec.listdec import (
     qualifying_tuples,
     system_report,
 )
+from plueckerdec.params import SMALL_PARAMETER_SETS
 from plueckerdec.pluecker import embed, tuple_rank
 
 F2 = FieldCtx(2)
@@ -334,3 +336,14 @@ def test_entries_sorted_by_message(demo_code, received_r2):
     ]
     assert keys == sorted(keys)
     assert len(result.entries) == demo_code.size  # radius k covers everything
+
+
+@pytest.mark.parametrize("ps", SMALL_PARAMETER_SETS, ids=lambda ps: ps.label())
+def test_paper_at_radius_k_is_the_code_table(ps):
+    # the index-built entries of `paper` against the `encode`-built table:
+    # message, codeword vector and matrix, subspace and Pluecker vector
+    code = ps.build()
+    r = random_subspace(code.ext.base, code.n, code.k, random.Random(ps.label()))
+    result = decode_list(code, r, code.k)
+    assert result.stats["candidates_enumerated"] == code.size
+    assert result.entries == _code_table(code)
