@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Iterable, Sequence
 
@@ -109,6 +110,11 @@ def parse_matrix_arg(ctx: FieldCtx, value: str) -> MatGF:
     return mat_from_text(ctx, value)
 
 
+def split_elements(text: str) -> list[str]:
+    """Split a comma-separated element list at the commas outside brackets."""
+    return re.split(r",(?![^\[]*\])", text)
+
+
 def parse_modulus(value: str | None) -> tuple[int, ...] | None:
     if value is None:
         return None
@@ -124,7 +130,7 @@ def build_code(args: argparse.Namespace) -> GabidulinCode:
     if g_arg is None:
         return make_code(args.q, args.n, args.k, args.delta, modulus)
     ext = ext_field(args.q, args.n - args.k, modulus)
-    g = tuple(parse_element(ext, part) for part in g_arg.split(","))
+    g = tuple(parse_element(ext, part) for part in split_elements(g_arg))
     return make_code(args.q, args.n, args.k, args.delta, modulus, g)
 
 
@@ -220,7 +226,7 @@ def cmd_code(args: argparse.Namespace) -> int:
 
 def cmd_encode(args: argparse.Namespace) -> int:
     code = build_code(args)
-    msg = tuple(parse_element(code.ext, part) for part in args.msg.split(","))
+    msg = tuple(parse_element(code.ext, part) for part in split_elements(args.msg))
     cw = encode(code, msg)
     payload = {"vec": [m.to_list() for m in cw.vec], "mat": cw.mat.to_lists()}
     return emit(args, [mat_to_text(cw.mat)], payload)

@@ -208,30 +208,23 @@ def _message_map(code: GabidulinCode) -> tuple[tuple[int, ...], tuple[tuple[int,
     return tuple(p - 1 for p in pivots), tuple(tuple(red.row_list(s)[enc.rows :]) for s in range(rho))
 
 
-def message_coords(code: GabidulinCode, entries: Sequence[int]) -> tuple[int, ...] | None:
-    """F_q message coordinates x with `_encoding_matrix` x = the row-major
-    matrix entries (coordinate i*ell + j is alpha^j of message symbol i),
-    or None when the entries are not a codeword's."""
+def message_of(code: GabidulinCode, cw: RankCodeword) -> tuple[ExtElement, ...]:
+    """Recover the message of a codeword from its matrix over F_q: the
+    coordinates x (i*ell + j is alpha^j of symbol i) read off the
+    information set, checked by re-encoding."""
+    entries = cw.mat.entries
     if len(entries) != code.k * code.ell:
-        return None
+        raise CodeError("not a codeword of this code")
     info, inv = _message_map(code)
-    q, rho = code.q, code.rho
+    q, rho, ell = code.q, code.rho, code.ell
     x = [0] * rho
     for s, row in zip(info, inv):
         y = entries[s]
         if y:
             x = [a + y * b for a, b in zip(x, row)]
     x = tuple(a % q for a in x)
-    image = _encoding_matrix(code) @ MatGF(code.ext.base, rho, 1, x)
-    return x if image.entries == tuple(entries) else None
-
-
-def message_of(code: GabidulinCode, cw: RankCodeword) -> tuple[ExtElement, ...]:
-    """Recover the message of a codeword from its matrix over F_q."""
-    x = message_coords(code, cw.mat.entries)
-    if x is None:
+    if (_encoding_matrix(code) @ MatGF(code.ext.base, rho, 1, x)).entries != entries:
         raise CodeError("not a codeword of this code")
-    ell = code.ell
     return tuple(phi_inv(code.ext, x[i * ell : (i + 1) * ell]) for i in range(code.msg_len))
 
 

@@ -11,23 +11,27 @@ subspace distance of the received space.
 Three interchangeable strategies return that list: solving the equation
 system (`paper`), enumerating codewords against the ball forms
 (`reduced`), and enumerating codewords against the distance itself
-(`oracle`).  `paper` eliminates once, enumerates the projection of the
-solution set onto the qualifying coordinates by message index, and keeps
-the codewords whose embeddings satisfy the complete system.  Every
-strategy lists its codewords in message order.
+(`oracle`).  `paper` eliminates once, walks the projection of the
+solution set onto the qualifying coordinates in message order, and keeps
+the codewords that satisfy the forms this construction leaves open.
+Every strategy lists its codewords in message order.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import accumulate
 from math import comb
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import DecodeError
 from .gf import ExtElement, phi_inv
-from .matgf import MatGF, _pack_row, _rref_rows, _unpack_row, kernel_basis, rank, rref
+from .matgf import (
+    MatGF, _pack_row, _reduce, _rref_rows, _slots, _unpack_row, kernel_basis, rank, rref,
+    solve_affine,
+)
 from .gabidulin import (
     ENUMERATION_CAP,
     GabidulinCode,
@@ -37,7 +41,6 @@ from .gabidulin import (
     encode,
     enumerate_messages,
     lift,
-    message_coords,
     subspace_distance,
 )
 from .pluecker import (
@@ -45,7 +48,6 @@ from .pluecker import (
     LinearForm,
     PlueckerVector,
     QuadraticRelation,
-    _indexed_terms,
     all_tuples,
     ball_equations,
     embed,
@@ -151,16 +153,17 @@ class EquationSystem:
     quadratic: tuple[QuadraticRelation, ...]
 
 
+@lru_cache(maxsize=None)
+def _fixed_forms(code: GabidulinCode) -> tuple[LinearForm, ...]:
+    """Normalization x_{1..k} = 1 (the lex-first coordinate) and extended parity."""
+    norm = LinearForm((1,) + (0,) * (comb(code.n, code.k) - 1), 1)
+    return (norm, *extended_parity(build_block_code(code)))
+
+
 def assemble_system(code: GabidulinCode, r: Subspace, e: int) -> EquationSystem:
     """Normalization, extended parity, and ball forms, plus the shuffles."""
-    n, k = code.n, code.k
-    nvars = comb(n, k)
-    norm = [0] * nvars
-    norm[tuple_rank(tuple(range(1, k + 1)), n, k)] = 1
-    linear = [LinearForm(tuple(norm), 1)]
-    linear.extend(extended_parity(build_block_code(code)))
-    linear.extend(ball_equations(r, e))
-    return EquationSystem(nvars, tuple(linear), shuffle_relations(n, k))
+    linear = _fixed_forms(code) + tuple(ball_equations(r, e))
+    return EquationSystem(comb(code.n, code.k), linear, shuffle_relations(code.n, code.k))
 
 
 def _check_decode_args(code: GabidulinCode, r: Subspace, e: int) -> None:
@@ -232,46 +235,75 @@ def _code_table(code: GabidulinCode, cap: int = ENUMERATION_CAP) -> tuple[Decode
 
 
 @lru_cache(maxsize=2**16)
-def _entry_at(code: GabidulinCode, index: int) -> DecodeEntry:
-    """Entry of the message at `index` in `enumerate_messages` order, its
-    codeword matrix the encoding matrix times the message coordinates;
-    candidates recur across received spaces, so this is memoized."""
-    ext = code.ext
-    msg = []
-    for _ in range(code.msg_len):
-        index, i = divmod(index, ext.order)
-        msg.append(ext.element_at(i))
-    msg.reverse()
+def _entry_at(code: GabidulinCode, digits: int) -> DecodeEntry:
+    """Entry of the message whose F_q digits, least significant first, are
+    the slots of the packed row `digits`, its codeword matrix the encoding
+    matrix times the message coordinates; memoized, as candidates recur."""
+    ext, ell = code.ext, code.ell
+    d = _unpack_row(digits, code.rho, code.q)
+    # the last symbol's coefficients come first, each from alpha^0 up
+    msg = tuple(ExtElement(ext, tuple(d[i : i + ell])) for i in range(code.rho - ell, -1, -ell))
     x = tuple(c for m in msg for c in m.coeffs)
     mat = _encoding_matrix(code) @ MatGF(ext.base, code.rho, 1, x)
     mat = MatGF(ext.base, code.k, code.ell, mat.entries)
     cw = RankCodeword(tuple(phi_inv(ext, mat.row_list(i)) for i in range(code.k)), mat)
     sub = lift(cw)
-    return DecodeEntry(tuple(msg), cw, sub, embed(sub))
+    return DecodeEntry(msg, cw, sub, embed(sub))
 
 
-def _pack(forms: Sequence[LinearForm], q: int) -> list[tuple[tuple, int]]:
-    """Each form as its nonzero (index, coeff) pairs and its reduced rhs."""
-    return [
-        (tuple((j, c) for j, c in enumerate(f.coeffs) if c), f.rhs % q) for f in forms
-    ]
+def _form_check(forms: Sequence[LinearForm], nvars: int, q: int) -> Callable[[int], bool]:
+    """Whether packed coordinates (`PlueckerVector.packed`) satisfy every
+    form, decided by one product (Kronecker substitution): form i sits
+    reversed in slots 2*nvars*i onward, so slot 2*nvars*i + nvars - 1 of
+    the product is its dot product, and no slot exceeds nvars*(q-1)^2."""
+    table, size = _slots(q, nvars)[1], 2 * nvars * len(forms)
+    lhs = _pack_row([c for f in forms for c in f.coeffs[::-1] + (0,) * nvars], q, nvars)
+    rhs = [f.rhs % q for f in forms]
+    dots = slice(nvars - 1, None, 2 * nvars)
+    if table is not None:
+        want = bytes(rhs)
+        return lambda x: (x * lhs).to_bytes(size, "little")[dots].translate(table) == want
+    return lambda x: [v % q for v in _unpack_row(x * lhs, size, q, nvars)[dots]] == rhs
 
 
-def _holds(x: Sequence[int], packed: list[tuple[tuple, int]], q: int) -> bool:
-    """Whether the coordinates x satisfy every packed form."""
-    return all(sum(c * x[j] for j, c in nz) % q == rhs for nz, rhs in packed)
+def _odometer(base: int, rows: list[int], rho: int, q: int) -> Iterator[int]:
+    """Every point of base + span(rows) over F_q, in message order.
+
+    Points and rows are packed rows of rho message digits.  Row t has no
+    digit more significant than its pivot, a 1 where base and the other
+    rows are zero, and the rows come by falling pivot significance; so the
+    coefficients c_t count up like an odometer.  Raising c_t by one and
+    wrapping every later one from q-1 to 0 adds rows[t] + ... + rows[-1],
+    since q times a row is zero: one packed add per step.
+    """
+    carry = list(accumulate(reversed(rows), lambda a, b: _reduce(a + b, rho, q)))[::-1]
+    counts = [0] * len(rows)
+    point = base
+    while True:
+        yield point
+        t = len(rows) - 1
+        while t >= 0 and counts[t] == q - 1:
+            counts[t] = 0
+            t -= 1
+        if t < 0:
+            return
+        counts[t] += 1
+        point = _reduce(point + carry[t], rho, q)
 
 
-def _coset(base: list[int], kernel: list[list[int]], q: int) -> Iterator[tuple[int, ...]]:
-    """Every point of base + span(kernel) over F_q, at about one vector sum
-    per point."""
-    if not kernel:
-        yield tuple(base)
-        return
-    head, rest = kernel[0], kernel[1:]
-    for _ in range(q):
-        yield from _coset(base, rest, q)
-        base = [(a + b) % q for a, b in zip(base, head)]
+def _packed_forms(forms: Sequence[LinearForm], perm: Sequence[int], q: int) -> list[int]:
+    """Packed rows of the forms' coefficients in the order perm, rhs last."""
+    return [_pack_row([f.coeffs[p] for p in perm] + [f.rhs % q], q) for f in forms]
+
+
+@lru_cache(maxsize=None)
+def _solver_layout(code: GabidulinCode) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """The coordinate order of `paper`, non-qualifying coordinates first, their
+    number, and the normalization and parity forms packed in that order."""
+    n, k = code.n, code.k
+    block = [tuple_rank(p, n, k) for p in qualifying_tuples(n, k)]
+    perm = tuple(sorted(set(range(comb(n, k))) - set(block))) + tuple(block)
+    return perm, len(perm) - len(block), tuple(_packed_forms(_fixed_forms(code), perm, code.q))
 
 
 def _decode_paper(
@@ -280,80 +312,44 @@ def _decode_paper(
     """Solve the equation system, enumerating only the block coordinates.
 
     One elimination of the linear forms, with the non-qualifying
-    coordinates ordered first, decides feasibility.  Its rows whose pivots
-    land among the k(n-k) qualifying coordinates constrain those alone:
-    they cut out the projection of the solution set, an affine coset that
-    the placement table carries into codeword-matrix entries.  The parity
-    forms are among those rows, so the coset lies in the code, and the
-    inverse of the encoding carries it into message digits, most
-    significant first.  Walked from an RREF basis there, its points come
-    in message order; each is re-embedded and kept only when its embedding
-    satisfies the complete system, linear forms and shuffle relations.
+    coordinates ordered first, decides feasibility.  Its rows pivoting on
+    the k(n-k) qualifying coordinates constrain those alone and cut out
+    the projection of the solution set.  The parity forms are among them,
+    so it is a coset of the code, solved over the message digits through
+    Gp and walked in message order.  Each point is a lifted codeword, so
+    it satisfies the normalization, the parity forms, the shuffle
+    relations and those rows by construction; it is kept when it satisfies
+    the rows left open, those pivoting on a non-qualifying coordinate.
     """
-    n, k, ell, q = code.n, code.k, code.ell, code.q
-    system = assemble_system(code, r, e)
-    nvars = system.nvars
-    block = [tuple_rank(p, n, k) for p in qualifying_tuples(n, k)]
-    in_block = set(block)
-    perm = [i for i in range(nvars) if i not in in_block] + block
-    nb = len(block)
-    cut = nvars - nb
-
-    width = nvars + 1  # the rhs is the last column
-    aug = [_pack_row([f.coeffs[p] for p in perm] + [f.rhs % q], q) for f in system.linear]
-    pivots = _rref_rows(aug, width, q)
+    ell, q = code.ell, code.q
+    perm, cut, fixed = _solver_layout(code)
+    nvars = len(perm)
+    aug = [*fixed, *_packed_forms(ball_equations(r, e), perm, q)]
+    pivots = _rref_rows(aug, nvars + 1, q)  # the rhs is the last column
     if pivots and pivots[-1] == nvars:
         return [], {"solver_path": "infeasible", "candidates_enumerated": 0}
+    rows = [_unpack_row(row, nvars + 1, q) for row in aug[: len(pivots)]]
+    inv = sorted(range(nvars), key=perm.__getitem__)
+    open_forms = [
+        LinearForm(tuple(row[i] for i in inv), row[-1]) for row, p in zip(rows, pivots) if p < cut
+    ]
+    bound = [row[cut:] for row, p in zip(rows, pivots) if p >= cut]  # zero before cut
 
-    # pivot rows by block column; they are zero on the other coordinates
-    bound = {p - cut: _unpack_row(row, width, q)[cut:] for row, p in zip(aug, pivots) if p >= cut}
-    places = _placements(n, k)
-    # message coordinate i*ell + j (alpha^j of symbol i) by significance
-    order = [i * ell + j for i in range(code.msg_len) for j in reversed(range(ell))]
-
-    def to_digits(vec: list[int]) -> list[int]:
-        flat = [0] * (k * ell)
-        for (i, j, sign), v in zip(places, vec):
-            flat[i * ell + j] = v * sign % q
-        x = message_coords(code, flat)
-        if x is None:
-            raise DecodeError("the projected coset leaves the code")
-        return [x[t] for t in order]
-
-    base = to_digits([bound[j][nb] if j in bound else 0 for j in range(nb)])
-    kernel = []
-    for f in range(nb):
-        if f not in bound:
-            vec = [-bound[j][f] % q if j in bound else 0 for j in range(nb)]
-            vec[f] = 1
-            kernel.append(_pack_row(to_digits(vec), q))
-    total = q ** len(kernel)
+    # over the digits, least significant first (message coordinate i*ell + j
+    # is alpha^j of symbol i), each kernel vector's most significant digit
+    # is its free one, a 1 where the base and the other vectors are zero
+    order = [i * ell + j for i in reversed(range(code.msg_len)) for j in range(ell)]
+    gp = build_block_code(code).Gp.submatrix(order, range(nvars - cut))
+    lhs = MatGF.from_rows(code.ext.base, [row[:-1] for row in bound]) @ gp.transpose()
+    base, kernel = solve_affine(lhs, [row[-1] for row in bound])
+    total = q ** kernel.rows
     if total > enumeration_cap:
         raise DecodeError(
             f"{total} candidate assignments exceed the enumeration cap {enumeration_cap}"
         )
-    # clear the base at the pivots: a point's digit at pivot t is then the
-    # coefficient of basis row t, so the walk's counting order is index order
-    pivots = _rref_rows(kernel, code.rho, q)
-    kernel = [_unpack_row(row, code.rho, q) for row in kernel]
-    for row, p in zip(kernel, pivots):
-        c = base[p]
-        base = [(a - c * b) % q for a, b in zip(base, row)]
-
-    # ball forms first: they are the ones a wrong candidate fails
-    linear = _pack(system.linear[::-1], q)
-    quadratic = [_indexed_terms(rel) for rel in system.quadratic]
-    entries = []
-    for point in _coset(base, kernel, q):
-        index = 0
-        for d in point:
-            index = index * q + d
-        entry = _entry_at(code, index)
-        x = entry.pluecker.coords
-        if _holds(x, linear, q) and not any(
-            sum(c * x[a] * x[b] for a, b, c in terms) % q for terms in quadratic
-        ):
-            entries.append(entry)
+    walk = _odometer(_pack_row(base, q), list(kernel.packed[::-1]), code.rho, q)
+    check = _form_check(open_forms, nvars, q)
+    entries = [en for en in map(partial(_entry_at, code), walk) if check(en.pluecker.packed)]
     return entries, {"solver_path": "projected", "candidates_enumerated": total}
 
 
@@ -361,11 +357,8 @@ def _decode_reduced(
     code: GabidulinCode, r: Subspace, e: int, cap: int
 ) -> tuple[list[DecodeEntry], dict]:
     """Test the ball forms on the embedding of every codeword."""
-    q = code.q
-    forms = _pack(ball_equations(r, e), q)
-    entries = [
-        entry for entry in _code_table(code, cap) if _holds(entry.pluecker.coords, forms, q)
-    ]
+    check = _form_check(ball_equations(r, e), comb(code.n, code.k), code.q)
+    entries = [entry for entry in _code_table(code, cap) if check(entry.pluecker.packed)]
     return entries, {"candidates_enumerated": code.size}
 
 

@@ -154,24 +154,25 @@ def vstack(a: MatGF, b: MatGF) -> MatGF:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _slots(q: int) -> tuple[int, bytes | None]:
-    """Bytes per packed slot over F_q, and the table of b mod q when that is 1."""
+def _slots(q: int, terms: int = 2) -> tuple[int, bytes | None]:
+    """Bytes per packed slot that hold a sum of `terms` products of entries
+    over F_q (two for a row operation), and the table of b mod q when that is 1."""
     w = 1
-    while 2 * (q - 1) ** 2 >> 8 * w:
+    while terms * (q - 1) ** 2 >> 8 * w:
         w += 1
     return w, bytes(b % q for b in range(256)) if w == 1 else None
 
 
-def _pack_row(row: Sequence[int], q: int) -> int:
-    """One packed row from entries already reduced mod q."""
-    w, table = _slots(q)
-    if table is not None:
+def _pack_row(row: Sequence[int], q: int, terms: int = 2) -> int:
+    """One packed row from entries already reduced mod q, in `_slots(q, terms)`."""
+    w = _slots(q, terms)[0]
+    if w == 1:
         return int.from_bytes(bytes(row), "little")
     return int.from_bytes(b"".join(x.to_bytes(w, "little") for x in row), "little")
 
 
-def _unpack_row(r: int, n: int, q: int) -> list[int]:
-    w = _slots(q)[0]
+def _unpack_row(r: int, n: int, q: int, terms: int = 2) -> list[int]:
+    w = _slots(q, terms)[0]
     b = r.to_bytes(n * w, "little")
     if w == 1:
         return list(b)

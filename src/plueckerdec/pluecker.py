@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Sequence
 
 from .errors import GrassmannError
 from .gf import FieldCtx
-from .matgf import MatGF, _det_submatrix, rref
+from .matgf import MatGF, _det_submatrix, _pack_row, rref
 from .gabidulin import Subspace
 
 IndexTuple = tuple[int, ...]
@@ -111,6 +111,12 @@ class PlueckerVector:
 
     def at(self, t: Sequence[int]) -> int:
         return self.coords[tuple_rank(t, self.n, self.k)]
+
+    @cached_property
+    def packed(self) -> int:
+        """The coordinates as one packed row whose slots hold a dot product
+        of two coordinate vectors, computed once."""
+        return _pack_row(self.coords, self.ctx.q, len(self.coords))
 
 
 def normalize(ctx: FieldCtx, n: int, k: int, coords: Sequence[int]) -> PlueckerVector:

@@ -115,6 +115,23 @@ def test_decode_strategies_equal_output(capsys):
     assert outs[0] == outs[1] == outs[2]
 
 
+def test_bracket_elements_inside_element_lists(capsys):
+    """--g and --msg split at top-level commas only, so the bracket form
+    may list several coefficients."""
+    received = ["--received", "1 0 1 0;0 0 0 1", "--e", "1", "--format", "json"]
+    code = ["--q", "2", "--n", "4", "--k", "2", "--delta", "2"]
+    outs = []
+    for g in ("[1,1],alpha", "alpha+1,[0,1]", "alpha+1,alpha"):
+        rc, out, err = run_cli(capsys, ["decode", *code, "--g", g, *received])
+        assert (rc, err) == (0, "")
+        outs.append(json.loads(out)["list"])
+    assert outs[0] == outs[1] == outs[2]
+    rc, out, _ = run_cli(capsys, ["encode", *DEMO, "--msg", "[0,1]", "--format", "json"])
+    assert rc == 0 and json.loads(out) == {"vec": [[1, 1], [0, 1]], "mat": [[1, 1], [0, 1]]}
+    rc, _, err = run_cli(capsys, ["decode", *code, "--g", "[1,1,alpha", *received])
+    assert rc == 1 and json.loads(err)["module"] == "gf"
+
+
 def test_encode_lift_embed_roundtrip(capsys, monkeypatch):
     rc, encoded, _ = run_cli(
         capsys, ["encode", *DEMO, "--msg", "alpha"]
@@ -295,7 +312,8 @@ def code_args(draw):
     for flag, options in (
         ("--modulus", ["1,1,1", "1,1", "2,1,1", "1,0,1", "1,1,0,1", "2,1,0,1", "0", "", "a", "-1,1"]),
         ("--g", ["alpha,1", "1,alpha", "[1,1],alpha", "alpha^2,alpha,1", "1,1", "alpha^", "[]",
-                 "[1.5]", "", "-alpha,2*alpha", "alpha^-1,1"]),
+                 "[1.5]", "", "-alpha,2*alpha", "alpha^-1,1", "[0,1],[1,1]", "alpha,[1,0,1]",
+                 "[1,1,1],alpha,1", "[0,1,1],[1,0,0],[0,0,1]", "[1,1", "1],[0,1]"]),
     ):
         value = draw(mostly(st.none(), st.sampled_from(options)))
         if value is not None:

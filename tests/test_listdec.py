@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from plueckerdec.channel import ChannelConfig, corrupt
 from plueckerdec.errors import DecodeError
 from plueckerdec.gf import FieldCtx
-from plueckerdec.matgf import MatGF, minor
+from plueckerdec.matgf import MatGF, _pack_row, minor
 from plueckerdec.gabidulin import (
     Subspace,
     encode,
@@ -22,6 +22,8 @@ from plueckerdec.gabidulin import (
 )
 from plueckerdec.listdec import (
     _code_table,
+    _form_check,
+    assemble_system,
     build_block_code,
     decode_list,
     extended_parity,
@@ -30,7 +32,7 @@ from plueckerdec.listdec import (
     system_report,
 )
 from plueckerdec.params import SMALL_PARAMETER_SETS
-from plueckerdec.pluecker import embed, tuple_rank
+from plueckerdec.pluecker import LinearForm, embed, tuple_rank
 
 F2 = FieldCtx(2)
 
@@ -258,24 +260,81 @@ def test_strategies_agree_q5_both_solver_paths():
         assert paths == {"projected", "infeasible"}
 
 
-@given(st.sampled_from([(4, 2, 2), (5, 2, 2), (6, 3, 3)]), st.integers(0, 2**32))
-@settings(max_examples=150)
-def test_paper_equals_oracle_q5(params, seed):
-    """q = 5 sets outside the exhaustive sweep; (6, 3, 3) is in no shipped
-    set.  Received spaces are uniform, or a codeword corrupted by t errors."""
-    code = make_code(5, *params)
-    rng = random.Random(seed)
-    k = code.k
+def _received(code, rng):
+    """A uniform received space, or a codeword corrupted by t errors."""
     if rng.random() < 0.5:
-        r = random_subspace(code.ext.base, code.n, k, rng)
-    else:
-        msg = [code.ext.element_at(rng.randrange(code.ext.order)) for _ in range(code.msg_len)]
-        t = rng.randrange(k + 1)
-        r = corrupt(lift(encode(code, msg)), ChannelConfig(seed=rng.randrange(2**32), t=t))
-    for e in range(k + 1):
+        return random_subspace(code.ext.base, code.n, code.k, rng)
+    msg = [code.ext.element_at(rng.randrange(code.ext.order)) for _ in range(code.msg_len)]
+    t = rng.randrange(code.k + 1)
+    return corrupt(lift(encode(code, msg)), ChannelConfig(seed=rng.randrange(2**32), t=t))
+
+
+def _assert_paper_equals_oracle(code, r):
+    for e in range(code.k + 1):
         oracle = decode_list(code, r, e, "oracle").entries
         paper = decode_list(code, r, e, "paper").entries
         assert [en.message for en in paper] == [en.message for en in oracle]
+
+
+@given(
+    st.sampled_from([(5, 4, 2, 2), (5, 5, 2, 2), (5, 6, 3, 3), (2, 7, 3, 2), (2, 7, 3, 3), (3, 7, 3, 3)]),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=150)
+def test_paper_equals_oracle_off_sweep(params, seed):
+    """Sets outside the exhaustive sweep: the shipped q = 5 sets, (5,6,3,3)
+    with 20 coordinates, and three n = 7 sets with 35 coordinates."""
+    code = make_code(*params)
+    _assert_paper_equals_oracle(code, _received(code, random.Random(seed)))
+
+
+@pytest.mark.parametrize("q,modulus", [(7, (1, 0, 1)), (13, (11, 0, 1)), (37, (35, 0, 1))])
+def test_paper_equals_oracle_larger_q(q, modulus):
+    """From q = 13 a packed slot takes two bytes, and past q = 36 the
+    digits have no single-character form."""
+    code = make_code(q, 4, 2, 2, modulus)
+    rng = random.Random(q)
+    for _ in range(6):
+        _assert_paper_equals_oracle(code, _received(code, rng))
+
+
+def test_form_check_extreme_slots():
+    """At (5,6,3,3) a dot product of 20 coordinates reaches 20 * 4^2 = 320,
+    more than a byte; the check must size its slots for it."""
+    q, nvars = 5, 20
+    check = _form_check([LinearForm((q - 1,) * nvars, 0)] * 3, nvars, q)
+    assert check(_pack_row([q - 1] * nvars, q, nvars))  # 320 = 0 mod 5
+    forms = [LinearForm((q - 1,) * nvars, 0), LinearForm((q - 1,) * nvars, 1)]
+    assert not _form_check(forms, nvars, q)(_pack_row([q - 1] * nvars, q, nvars))
+    assert _form_check([], nvars, q)(_pack_row([q - 1] * nvars, q, nvars))
+    rng = random.Random(5)
+    for _ in range(200):
+        x = [rng.randrange(q) for _ in range(nvars)]
+        forms = [
+            LinearForm(tuple(rng.randrange(q) for _ in range(nvars)), rng.randrange(q))
+            for _ in range(rng.randrange(4))
+        ]
+        expected = all(f.holds(x, q) for f in forms)
+        assert _form_check(forms, nvars, q)(_pack_row(x, q, nvars)) == expected
+
+
+@pytest.mark.parametrize("ps", SMALL_PARAMETER_SETS, ids=lambda ps: ps.label())
+def test_every_list_satisfies_the_whole_system(ps):
+    """`paper` checks only the forms its construction leaves open; every
+    entry of every strategy must still satisfy every linear form and every
+    shuffle relation of the assembled system."""
+    code = ps.build()
+    rng = random.Random(ps.label())
+    q = code.q
+    for _ in range(3):
+        r = _received(code, rng)
+        for e in range(code.k + 1):
+            system = assemble_system(code, r, e)
+            for strategy in ("paper", "reduced", "oracle"):
+                for entry in decode_list(code, r, e, strategy).entries:
+                    x = entry.pluecker.coords
+                    assert all(f.holds(x, q) for f in system.linear)
+                    assert all(rel.evaluate(x, q) == 0 for rel in system.quadratic)
 
 
 def test_decoder_completeness_equivalence(demo_code):
