@@ -157,29 +157,33 @@ def _poly_ext_gcd(
     return r0, s0
 
 
+def _poly_powmod(a: Sequence[int], e: int, m: Sequence[int], q: int) -> list[int]:
+    """a^e modulo the monic polynomial m, by square and multiply."""
+    out, a = [1], _poly_mod(a, m, q)
+    while e:
+        if e & 1:
+            out = _poly_mod(_poly_mul(out, a, q), m, q)
+        a = _poly_mod(_poly_mul(a, a, q), m, q)
+        e >>= 1
+    return out
+
+
 def is_irreducible(coeffs: Sequence[int], q: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
+    """Rabin's test: a monic p of degree l >= 1 is irreducible iff x^(q^l) = x
+    mod p and gcd(x^(q^(l/r)) - x, p) = 1 for each prime r dividing l; the
+    powers x^(q^i) mod p come by repeated q-th powering, O(l log q) products."""
     p = [c % q for c in coeffs]
-    if not p or p[-1] % q != 1:
+    if len(p) < 2 or p[-1] != 1:
         return False
     ell = len(p) - 1
-    if ell < 1:
-        return False
-    if ell == 1:
-        return True
-    if p[0] == 0:
-        return False
-    for d in range(1, ell // 2 + 1):
-        for idx in range(q**d):
-            cand = []
-            t = idx
-            for _ in range(d):
-                cand.append(t % q)
-                t //= q
-            cand.append(1)
-            if not _poly_mod(p, cand, q):
-                return False
-    return True
+    maximal = {ell // r for r in range(2, ell + 1) if ell % r == 0 and _is_prime(r)}
+    h = [0, 1]
+    for i in range(1, ell + 1):
+        h = _poly_powmod(h, q, p, q) + [0, 0]  # x^(q^i) mod p, padded to degree 1
+        diff = _poly_mod([h[0], (h[1] - 1) % q, *h[2:]], p, q)  # x^(q^i) - x mod p
+        if i in maximal and _poly_ext_gcd(diff, p, q)[0] != [1]:
+            return False
+    return not diff
 
 
 # ---------------------------------------------------------------------------

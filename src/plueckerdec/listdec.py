@@ -29,8 +29,8 @@ from typing import Callable, Iterator, Sequence
 from .errors import DecodeError
 from .gf import ExtElement, phi_inv
 from .matgf import (
-    MatGF, _pack_row, _reduce, _rref_rows, _slots, _unpack_row, kernel_basis, rank, rref,
-    solve_affine,
+    MatGF, _echelon, _pack_row, _reduce, _rref_rows, _slots, _unpack_row, kernel_basis, rank,
+    rref, solve_affine,
 )
 from .gabidulin import (
     ENUMERATION_CAP,
@@ -41,7 +41,6 @@ from .gabidulin import (
     encode,
     enumerate_messages,
     lift,
-    subspace_distance,
 )
 from .pluecker import (
     IndexTuple,
@@ -234,6 +233,14 @@ def _code_table(code: GabidulinCode, cap: int = ENUMERATION_CAP) -> tuple[Decode
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
+def _digit_order(code: GabidulinCode) -> tuple[int, ...]:
+    """Message coordinate (i*ell + j: alpha^j of symbol i) of each F_q digit,
+    least significant first; only whole symbols move, so it is self-inverse."""
+    ell = code.ell
+    return tuple(i * ell + j for i in reversed(range(code.msg_len)) for j in range(ell))
+
+
 @lru_cache(maxsize=2**16)
 def _entry_at(code: GabidulinCode, digits: int) -> DecodeEntry:
     """Entry of the message whose F_q digits, least significant first, are
@@ -241,9 +248,8 @@ def _entry_at(code: GabidulinCode, digits: int) -> DecodeEntry:
     matrix times the message coordinates; memoized, as candidates recur."""
     ext, ell = code.ext, code.ell
     d = _unpack_row(digits, code.rho, code.q)
-    # the last symbol's coefficients come first, each from alpha^0 up
-    msg = tuple(ExtElement(ext, tuple(d[i : i + ell])) for i in range(code.rho - ell, -1, -ell))
-    x = tuple(c for m in msg for c in m.coeffs)
+    x = tuple(d[p] for p in _digit_order(code))
+    msg = tuple(ExtElement(ext, x[i : i + ell]) for i in range(0, code.rho, ell))
     mat = _encoding_matrix(code) @ MatGF(ext.base, code.rho, 1, x)
     mat = MatGF(ext.base, code.k, code.ell, mat.entries)
     cw = RankCodeword(tuple(phi_inv(ext, mat.row_list(i)) for i in range(code.k)), mat)
@@ -267,14 +273,14 @@ def _form_check(forms: Sequence[LinearForm], nvars: int, q: int) -> Callable[[in
 
 
 def _odometer(base: int, rows: list[int], rho: int, q: int) -> Iterator[int]:
-    """Every point of base + span(rows) over F_q, in message order.
+    """Every point base + sum of c_t rows[t] over F_q, the c_t counting up
+    like an odometer, the last fastest; points and rows are packed, rho slots.
 
-    Points and rows are packed rows of rho message digits.  Row t has no
-    digit more significant than its pivot, a 1 where base and the other
-    rows are zero, and the rows come by falling pivot significance; so the
-    coefficients c_t count up like an odometer.  Raising c_t by one and
-    wrapping every later one from q-1 to 0 adds rows[t] + ... + rows[-1],
-    since q times a row is zero: one packed add per step.
+    In `paper` the slots are message digits: row t has no digit more
+    significant than its pivot, a 1 where base and the other rows are zero,
+    and the rows come by falling pivot significance, so the points come in
+    message order.  Raising c_t by one and wrapping every later c from q-1
+    to 0 adds rows[t] + ... + rows[-1] (q times a row is zero): one packed add.
     """
     carry = list(accumulate(reversed(rows), lambda a, b: _reduce(a + b, rho, q)))[::-1]
     counts = [0] * len(rows)
@@ -321,7 +327,7 @@ def _decode_paper(
     relations and those rows by construction; it is kept when it satisfies
     the rows left open, those pivoting on a non-qualifying coordinate.
     """
-    ell, q = code.ell, code.q
+    q = code.q
     perm, cut, fixed = _solver_layout(code)
     nvars = len(perm)
     aug = [*fixed, *_packed_forms(ball_equations(r, e), perm, q)]
@@ -335,11 +341,10 @@ def _decode_paper(
     ]
     bound = [row[cut:] for row, p in zip(rows, pivots) if p >= cut]  # zero before cut
 
-    # over the digits, least significant first (message coordinate i*ell + j
-    # is alpha^j of symbol i), each kernel vector's most significant digit
-    # is its free one, a 1 where the base and the other vectors are zero
-    order = [i * ell + j for i in reversed(range(code.msg_len)) for j in range(ell)]
-    gp = build_block_code(code).Gp.submatrix(order, range(nvars - cut))
+    # over the digits, least significant first, each kernel vector's most
+    # significant digit is its free one, a 1 where the base and the other
+    # vectors are zero
+    gp = build_block_code(code).Gp.submatrix(_digit_order(code), range(nvars - cut))
     lhs = MatGF.from_rows(code.ext.base, [row[:-1] for row in bound]) @ gp.transpose()
     base, kernel = solve_affine(lhs, [row[-1] for row in bound])
     total = q ** kernel.rows
@@ -365,11 +370,31 @@ def _decode_reduced(
 def _decode_oracle(
     code: GabidulinCode, r: Subspace, e: int, cap: int
 ) -> tuple[list[DecodeEntry], dict]:
-    """Test the subspace distance of every codeword directly."""
+    """Test the subspace distance of every codeword, in message order.
+
+    Subtracting R_L times the first block row of [I | A; R_L | R_R] leaves
+    [I | A; 0 | R_R - R_L A], so a codeword's distance to the received space
+    [R_L | R_R] is 2 rank(R_R - R_L A).  A is linear in the message digits,
+    so the odometer walks these k x ell differences, packed row-major, from
+    R_R by the steps -R_L A_t of the unit messages.
+    """
+    table = _code_table(code, cap)
+    k, ell, q = code.k, code.ell, code.q
+    if e >= min(k, ell):  # no k x ell matrix has larger rank
+        return list(table), {"candidates_enumerated": code.size}
+    left = r.basis.submatrix(range(k), range(k))
+    right = r.basis.submatrix(range(k), range(k, code.n))
+    enc = _encoding_matrix(code)
+    steps = [
+        _pack_row((-(left @ MatGF(enc.ctx, k, ell, enc.entries[t :: code.rho]))).entries, q)
+        for t in reversed(_digit_order(code))
+    ]
+    walk = _odometer(_pack_row(right.entries, q), steps, k * ell, q)
+    width = 8 * _slots(q)[0] * ell
+    shifts, mask = range(0, k * width, width), (1 << width) - 1
     entries = [
-        entry
-        for entry in _code_table(code, cap)
-        if subspace_distance(entry.subspace, r) <= 2 * e
+        en for en, m in zip(table, walk)  # at e = 0 only m = 0 is kept
+        if not m or e and len(_echelon([m >> s & mask for s in shifts], ell, q)[0]) <= e
     ]
     return entries, {"candidates_enumerated": code.size}
 

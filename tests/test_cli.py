@@ -1,5 +1,6 @@
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest.mock import patch
@@ -220,6 +221,20 @@ def test_code_above_enumeration_cap_fails_at_once(capsys):
     detail = json.loads(err)
     assert detail["module"] == "gabidulin"
     assert "enumeration cap" in detail["error"]
+
+
+def test_large_prime_field_builds_at_once(capsys):
+    """The modulus check is polynomial in log q: x^2 + 1 over F_1000003."""
+    start = time.perf_counter()
+    rc, out, _ = run_cli(
+        capsys,
+        ["decode", "--q", "1000003", "--n", "4", "--k", "2", "--delta", "2",
+         "--modulus", "1,0,1", "--g", "alpha,1", "--received", "1 0 1 0;0 1 0 1",
+         "--e", "0"],
+    )
+    assert time.perf_counter() - start < 1.0
+    assert rc == 0
+    assert out.splitlines()[-1] == "list size: 0"
 
 
 def test_simulate_json_lines(capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from plueckerdec.errors import FieldError
@@ -5,6 +7,7 @@ from plueckerdec.gf import (
     DEFAULT_MODULI,
     ExtFieldCtx,
     FieldCtx,
+    _poly_mod,
     ext_field,
     format_element,
     frobenius,
@@ -49,13 +52,39 @@ def test_prime_field_axioms_exhaustive(q):
             assert f.mul(a, b) == f.mul(b, a)
 
 
+def _irreducible_by_trial_division(p, q):
+    """Reference: no monic divisor of degree 1 .. deg/2."""
+    return all(
+        _poly_mod(p, [*low, 1], q)
+        for d in range(1, (len(p) - 1) // 2 + 1)
+        for low in itertools.product(range(q), repeat=d)
+    )
+
+
 def test_default_moduli_are_irreducible():
     for (q, ell), coeffs in DEFAULT_MODULI.items():
         assert len(coeffs) == ell + 1
         assert coeffs[-1] == 1
         assert is_irreducible(coeffs, q)
+        assert _irreducible_by_trial_division(coeffs, q)
     assert DEFAULT_MODULI[(2, 2)] == (1, 1, 1)  # x^2+x+1
     assert DEFAULT_MODULI[(2, 3)] == (1, 1, 0, 1)  # x^3+x+1
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_rabin_agrees_with_trial_division(q):
+    """Every monic polynomial of degree 1..4, reducible or not."""
+    for ell in range(1, 5):
+        for low in itertools.product(range(q), repeat=ell):
+            p = (*low, 1)
+            assert is_irreducible(p, q) == _irreducible_by_trial_division(p, q), p
+
+
+def test_irreducibility_of_non_monic_and_constant_polynomials():
+    assert not is_irreducible((1, 1, 2), 3)
+    assert not is_irreducible((1, 0), 3)
+    assert not is_irreducible((1,), 3)
+    assert not is_irreducible((), 3)
 
 
 def test_bad_modulus_rejected():

@@ -298,6 +298,43 @@ def test_paper_equals_oracle_larger_q(q, modulus):
         _assert_paper_equals_oracle(code, _received(code, rng))
 
 
+def _singular_left(code, rng):
+    """A received space whose RREF pivots skip one of the columns 1..k, so
+    its left k x k block is singular."""
+    skip = rng.randrange(code.k)
+    while True:
+        rows = [
+            [0 if j == skip else rng.randrange(code.q) for j in range(code.n)]
+            for _ in range(code.k)
+        ]
+        r = Subspace.from_matrix(MatGF.from_rows(code.ext.base, rows))
+        if r.k == code.k:
+            return r
+
+
+ORACLE_SETS = [(ps.q, ps.n, ps.k, ps.delta, None) for ps in SMALL_PARAMETER_SETS] + [
+    (5, 6, 3, 3, None), (2, 7, 3, 2, None), (3, 7, 3, 3, None),
+    (7, 4, 2, 2, (1, 0, 1)), (13, 4, 2, 2, (11, 0, 1)), (37, 4, 2, 2, (35, 0, 1)),
+]
+
+
+@given(st.sampled_from(ORACLE_SETS), st.sampled_from(["received", "singular"]), st.integers(0, 2**32))
+@settings(max_examples=120)
+def test_oracle_is_the_distance_definition(params, kind, seed):
+    """`oracle` walks rank(R_R - R_L A) over the code; its list must be the
+    literal definition, every codeword of the table within subspace distance
+    2e, at every e.  The received spaces are uniform, channel-corrupted, or
+    forced to a singular left block, and q = 13 and 37 take two-byte slots."""
+    code = make_code(*params)
+    rng = random.Random(seed)
+    r = _received(code, rng) if kind == "received" else _singular_left(code, rng)
+    table = _code_table(code)
+    dist = [subspace_distance(en.subspace, r) for en in table]
+    for e in range(code.k + 1):
+        want = [en for en, d in zip(table, dist) if d <= 2 * e]
+        assert list(decode_list(code, r, e, "oracle").entries) == want
+
+
 def test_form_check_extreme_slots():
     """At (5,6,3,3) a dot product of 20 coordinates reaches 20 * 4^2 = 320,
     more than a byte; the check must size its slots for it."""
