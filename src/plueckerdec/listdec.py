@@ -11,9 +11,12 @@ subspace distance of the received space.
 Three interchangeable strategies return that list: solving the equation
 system (`paper`), enumerating codewords against the ball forms
 (`reduced`), and enumerating codewords against the distance itself
-(`oracle`).  `paper` eliminates once, walks the projection of the
-solution set onto the qualifying coordinates in message order, and keeps
-the codewords that satisfy the forms this construction leaves open.
+(`oracle`).  `paper` substitutes the block code's generator for the
+qualifying coordinates, so the parity forms hold identically (Hp y = 0
+exactly when y = Gp^T m for a message m) and drop out; it eliminates the
+normalization and the ball forms once over the other coordinates and the
+message digits, walks the projection of the solution set onto the digits
+in message order, and keeps the codewords that satisfy the ball forms.
 Every strategy lists its codewords in message order.
 """
 
@@ -29,8 +32,8 @@ from typing import Callable, Iterator, Sequence
 from .errors import DecodeError
 from .gf import ExtElement, phi_inv
 from .matgf import (
-    MatGF, _echelon, _pack_row, _reduce, _rref_rows, _slots, _unpack_row, kernel_basis, rank,
-    rref, solve_affine,
+    MatGF, _echelon, _pack_row, _reduce, _slots, _unpack_row, kernel_basis, rank, rref,
+    solve_affine,
 )
 from .gabidulin import (
     ENUMERATION_CAP,
@@ -152,17 +155,17 @@ class EquationSystem:
     quadratic: tuple[QuadraticRelation, ...]
 
 
-@lru_cache(maxsize=None)
-def _fixed_forms(code: GabidulinCode) -> tuple[LinearForm, ...]:
-    """Normalization x_{1..k} = 1 (the lex-first coordinate) and extended parity."""
-    norm = LinearForm((1,) + (0,) * (comb(code.n, code.k) - 1), 1)
-    return (norm, *extended_parity(build_block_code(code)))
+def _normalization(nvars: int) -> LinearForm:
+    """x_{1..k} = 1, on the lex-first coordinate."""
+    return LinearForm((1,) + (0,) * (nvars - 1), 1)
 
 
 def assemble_system(code: GabidulinCode, r: Subspace, e: int) -> EquationSystem:
     """Normalization, extended parity, and ball forms, plus the shuffles."""
-    linear = _fixed_forms(code) + tuple(ball_equations(r, e))
-    return EquationSystem(comb(code.n, code.k), linear, shuffle_relations(code.n, code.k))
+    nvars = comb(code.n, code.k)
+    parity = extended_parity(build_block_code(code))
+    linear = (_normalization(nvars), *parity, *ball_equations(r, e))
+    return EquationSystem(nvars, linear, shuffle_relations(code.n, code.k))
 
 
 def _check_decode_args(code: GabidulinCode, r: Subspace, e: int) -> None:
@@ -221,10 +224,8 @@ class DecodeList:
 
 
 @lru_cache(maxsize=32)
-def _code_table(code: GabidulinCode, cap: int = ENUMERATION_CAP) -> tuple[DecodeEntry, ...]:
+def _code_table(code: GabidulinCode) -> tuple[DecodeEntry, ...]:
     """All codewords with their liftings and embeddings, message-lex order."""
-    if code.size > cap:
-        raise DecodeError(f"code size {code.size} exceeds the enumeration cap {cap}")
     table = []
     for msg in enumerate_messages(code):
         cw = encode(code, msg)
@@ -297,79 +298,73 @@ def _odometer(base: int, rows: list[int], rho: int, q: int) -> Iterator[int]:
         point = _reduce(point + carry[t], rho, q)
 
 
-def _packed_forms(forms: Sequence[LinearForm], perm: Sequence[int], q: int) -> list[int]:
-    """Packed rows of the forms' coefficients in the order perm, rhs last."""
-    return [_pack_row([f.coeffs[p] for p in perm] + [f.rhs % q], q) for f in forms]
-
-
 @lru_cache(maxsize=None)
-def _solver_layout(code: GabidulinCode) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """The coordinate order of `paper`, non-qualifying coordinates first, their
-    number, and the normalization and parity forms packed in that order."""
-    n, k = code.n, code.k
+def _solver_layout(code: GabidulinCode) -> tuple[int, tuple[int, ...]]:
+    """The number of non-qualifying coordinates, and what each coordinate
+    becomes over [non-qualifying coordinates | message digits in
+    `_digit_order` order]: a non-qualifying one its own slot, a qualifying
+    one its row of Gp^T; packed in slots that hold k(n-k) products."""
+    n, k, q = code.n, code.k, code.q
+    nvars = comb(n, k)
     block = [tuple_rank(p, n, k) for p in qualifying_tuples(n, k)]
-    perm = tuple(sorted(set(range(comb(n, k))) - set(block))) + tuple(block)
-    return perm, len(perm) - len(block), tuple(_packed_forms(_fixed_forms(code), perm, code.q))
+    others = sorted(set(range(nvars)) - set(block))
+    gpt = build_block_code(code).Gp.submatrix(_digit_order(code), range(len(block))).transpose()
+    rows = {i: [0] * s + [1] for s, i in enumerate(others)}
+    rows.update((i, [0] * len(others) + g) for i, g in zip(block, gpt.to_lists()))
+    return len(others), tuple(_pack_row(rows[i], q, len(block)) for i in range(nvars))
 
 
 def _decode_paper(
     code: GabidulinCode, r: Subspace, e: int, enumeration_cap: int
 ) -> tuple[list[DecodeEntry], dict]:
-    """Solve the equation system, enumerating only the block coordinates.
+    """Solve the equation system over the message digits.
 
-    One elimination of the linear forms, with the non-qualifying
-    coordinates ordered first, decides feasibility.  Its rows pivoting on
-    the k(n-k) qualifying coordinates constrain those alone and cut out
-    the projection of the solution set.  The parity forms are among them,
-    so it is a coset of the code, solved over the message digits through
-    Gp and walked in message order.  Each point is a lifted codeword, so
-    it satisfies the normalization, the parity forms, the shuffle
-    relations and those rows by construction; it is kept when it satisfies
-    the rows left open, those pivoting on a non-qualifying coordinate.
+    A vector y on the qualifying coordinates meets the parity forms exactly
+    when y = Gp^T m for one message m, so substituting Gp^T m for them
+    meets the parity forms identically and leaves the projection of the
+    solution set onto m unchanged.  One elimination of the normalization
+    and the ball forms over [non-qualifying coordinates | digits] decides
+    feasibility; its solution set projects onto a coset of the message
+    space, walked in message order.  Each point is a lifted codeword, so it
+    satisfies the normalization, the parity forms and the shuffle relations
+    by construction; it is kept when it satisfies the ball forms.
     """
-    q = code.q
-    perm, cut, fixed = _solver_layout(code)
-    nvars = len(perm)
-    aug = [*fixed, *_packed_forms(ball_equations(r, e), perm, q)]
-    pivots = _rref_rows(aug, nvars + 1, q)  # the rhs is the last column
-    if pivots and pivots[-1] == nvars:
+    q, nvars = code.q, comb(code.n, code.k)
+    cut, images = _solver_layout(code)
+    width = cut + code.rho
+    ball = ball_equations(r, e)
+    forms = [_normalization(nvars), *ball]
+    sums = (sum(c * im for c, im in zip(f.coeffs, images) if c) for f in forms)
+    rows = tuple(x % q for s in sums for x in _unpack_row(s, width, q, nvars - cut))
+    solved = solve_affine(MatGF(code.ext.base, len(forms), width, rows), [f.rhs for f in forms])
+    if solved is None:
         return [], {"solver_path": "infeasible", "candidates_enumerated": 0}
-    rows = [_unpack_row(row, nvars + 1, q) for row in aug[: len(pivots)]]
-    inv = sorted(range(nvars), key=perm.__getitem__)
-    open_forms = [
-        LinearForm(tuple(row[i] for i in inv), row[-1]) for row, p in zip(rows, pivots) if p < cut
-    ]
-    bound = [row[cut:] for row, p in zip(rows, pivots) if p >= cut]  # zero before cut
-
-    # over the digits, least significant first, each kernel vector's most
-    # significant digit is its free one, a 1 where the base and the other
-    # vectors are zero
-    gp = build_block_code(code).Gp.submatrix(_digit_order(code), range(nvars - cut))
-    lhs = MatGF.from_rows(code.ext.base, [row[:-1] for row in bound]) @ gp.transpose()
-    base, kernel = solve_affine(lhs, [row[-1] for row in bound])
-    total = q ** kernel.rows
+    particular, kernel = solved
+    # a kernel vector whose free column is non-qualifying is zero on the
+    # digits, since a row pivoting on a digit is zero before its pivot; the
+    # others have their 1 at their free digit and are non-zero elsewhere only
+    # at less significant pivots, so reversed they count in message order
+    shift = 8 * _slots(q)[0] * cut
+    steps = [v >> shift for v in kernel.packed if v >> shift]
+    total = q ** len(steps)
     if total > enumeration_cap:
         raise DecodeError(
             f"{total} candidate assignments exceed the enumeration cap {enumeration_cap}"
         )
-    walk = _odometer(_pack_row(base, q), list(kernel.packed[::-1]), code.rho, q)
-    check = _form_check(open_forms, nvars, q)
+    walk = _odometer(_pack_row(particular[cut:], q), steps[::-1], code.rho, q)
+    check = _form_check(ball, nvars, q)
     entries = [en for en in map(partial(_entry_at, code), walk) if check(en.pluecker.packed)]
     return entries, {"solver_path": "projected", "candidates_enumerated": total}
 
 
-def _decode_reduced(
-    code: GabidulinCode, r: Subspace, e: int, cap: int
-) -> tuple[list[DecodeEntry], dict]:
+def _decode_reduced(code: GabidulinCode, r: Subspace, e: int) -> tuple[list[DecodeEntry], dict]:
     """Test the ball forms on the embedding of every codeword."""
     check = _form_check(ball_equations(r, e), comb(code.n, code.k), code.q)
-    entries = [entry for entry in _code_table(code, cap) if check(entry.pluecker.packed)]
+    entries = [entry for entry in _code_table(code) if check(entry.pluecker.packed)]
     return entries, {"candidates_enumerated": code.size}
 
 
-def _decode_oracle(
-    code: GabidulinCode, r: Subspace, e: int, cap: int
-) -> tuple[list[DecodeEntry], dict]:
+def _decode_oracle(code: GabidulinCode, r: Subspace, e: int) -> tuple[list[DecodeEntry], dict]:
     """Test the subspace distance of every codeword, in message order.
 
     Subtracting R_L times the first block row of [I | A; R_L | R_R] leaves
@@ -378,7 +373,7 @@ def _decode_oracle(
     so the odometer walks these k x ell differences, packed row-major, from
     R_R by the steps -R_L A_t of the unit messages.
     """
-    table = _code_table(code, cap)
+    table = _code_table(code)
     k, ell, q = code.k, code.ell, code.q
     if e >= min(k, ell):  # no k x ell matrix has larger rank
         return list(table), {"candidates_enumerated": code.size}
@@ -415,13 +410,15 @@ def decode_list(
     _check_decode_args(code, r, e)
     if strategy not in STRATEGIES:
         raise DecodeError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    if strategy != "paper" and code.size > enumeration_cap:  # before the code table is built
+        raise DecodeError(f"code size {code.size} exceeds the enumeration cap {enumeration_cap}")
     start = time.perf_counter()
     if strategy == "paper":
         entries, extra = _decode_paper(code, r, e, enumeration_cap)
     elif strategy == "reduced":
-        entries, extra = _decode_reduced(code, r, e, enumeration_cap)
+        entries, extra = _decode_reduced(code, r, e)
     else:
-        entries, extra = _decode_oracle(code, r, e, enumeration_cap)
+        entries, extra = _decode_oracle(code, r, e)
     stats = {
         "strategy": strategy,
         "linear_eqs": tau_count(code.n, code.k, e) + 1 + (code.delta - 1) * (code.n - code.k),

@@ -19,7 +19,7 @@ from typing import Sequence
 from .errors import GrassmannError
 from .gf import FieldCtx
 from .matgf import MatGF, _det_submatrix, _pack_row, rref
-from .gabidulin import Subspace
+from .gabidulin import ENUMERATION_CAP, Subspace
 
 IndexTuple = tuple[int, ...]
 
@@ -42,7 +42,9 @@ def _check_tuple(t: Sequence[int], n: int, k: int) -> IndexTuple:
 
 @lru_cache(maxsize=None)
 def all_tuples(n: int, k: int) -> tuple[IndexTuple, ...]:
-    """All increasing k-tuples from {1..n} in lex order."""
+    """All increasing k-tuples from {1..n} in lex order, at most ENUMERATION_CAP."""
+    if 0 <= k <= n and comb(n, k) > ENUMERATION_CAP:
+        raise GrassmannError(f"C({n},{k}) = {comb(n, k)} tuples exceed the enumeration cap")
     return tuple(itertools.combinations(range(1, n + 1), k))
 
 
@@ -142,8 +144,8 @@ def embed(u: Subspace) -> PlueckerVector:
         raise GrassmannError("a 0-dimensional space has no Pluecker embedding")
     rows = tuple(range(k))
     basis = u.basis
-    coords = [_det_submatrix(basis, rows, t) for t in _zero_based_tuples(n, k)]
-    return normalize(u.ctx, n, k, coords)
+    coords = tuple(_det_submatrix(basis, rows, t) for t in _zero_based_tuples(n, k))
+    return PlueckerVector(u.ctx, n, k, coords)
 
 
 # ---------------------------------------------------------------------------
@@ -185,14 +187,12 @@ def shuffle_relations(n: int, k: int) -> tuple[QuadraticRelation, ...]:
     elements b, the relation is sum_j (-1)^(j+1) x_(a,b_j) x_(b minus b_j).
     Every embedded point satisfies all of them; for k = 1 the terms cancel
     identically, matching the fact that G_q(1, n) is all of projective
-    space.  Needs 1 <= k <= n.
+    space.  Needs 1 <= k <= n, and at most ENUMERATION_CAP relations.
     """
     if not 1 <= k <= n:
         raise GrassmannError(f"need 1 <= k <= n, got n={n}, k={k}")
-    if 2 * k > n:
-        return ()
     relations = []
-    for subset in itertools.combinations(range(1, n + 1), 2 * k):
+    for subset in all_tuples(n, 2 * k):
         a = subset[: k - 1]
         b = subset[k - 1 :]
         terms = []

@@ -277,6 +277,29 @@ def test_degenerate_grassmannian_is_domain_error(capsys, argv):
     assert json.loads(err)["module"] == "pluecker"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shuffle", "--q", "2", "--n", "40", "--k", "12"],
+        ["embed", "--q", "2", "--matrix", ";".join(
+            " ".join("1" if j == i or j == 12 + i else "0" for j in range(40)) for i in range(12)
+        )],
+    ],
+    ids=["shuffle-C40-24", "embed-12x40"],
+)
+def test_oversized_grassmannian_fails_at_once(capsys, argv):
+    """C(40, 24) relations and C(40, 12) coordinates, both over the
+    enumeration cap: an error, not a growing enumeration."""
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1
+    assert out == ""
+    detail = json.loads(err)
+    assert detail["module"] == "pluecker"
+    assert "enumeration cap" in detail["error"]
+
+
 def test_element_grammar():
     ext = ext_field(2, 2)
     assert parse_element(ext, "alpha") == ext.alpha()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from plueckerdec.channel import ChannelConfig, corrupt
 from plueckerdec.errors import DecodeError
 from plueckerdec.gf import FieldCtx
-from plueckerdec.matgf import MatGF, _pack_row, minor
+from plueckerdec.matgf import MatGF, _pack_row, minor, solve_affine
 from plueckerdec.gabidulin import (
     Subspace,
     encode,
@@ -264,6 +264,11 @@ def _received(code, rng):
     """A uniform received space, or a codeword corrupted by t errors."""
     if rng.random() < 0.5:
         return random_subspace(code.ext.base, code.n, code.k, rng)
+    return _corrupted(code, rng)
+
+
+def _corrupted(code, rng):
+    """A random codeword corrupted by t errors, t uniform in 0..k."""
     msg = [code.ext.element_at(rng.randrange(code.ext.order)) for _ in range(code.msg_len)]
     t = rng.randrange(code.k + 1)
     return corrupt(lift(encode(code, msg)), ChannelConfig(seed=rng.randrange(2**32), t=t))
@@ -357,9 +362,10 @@ def test_form_check_extreme_slots():
 
 @pytest.mark.parametrize("ps", SMALL_PARAMETER_SETS, ids=lambda ps: ps.label())
 def test_every_list_satisfies_the_whole_system(ps):
-    """`paper` checks only the forms its construction leaves open; every
-    entry of every strategy must still satisfy every linear form and every
-    shuffle relation of the assembled system."""
+    """`paper` checks only the ball forms, and no strategy reads the parity
+    forms or the shuffle relations; every entry of every strategy must still
+    satisfy every linear form and every shuffle relation of the assembled
+    system."""
     code = ps.build()
     rng = random.Random(ps.label())
     q = code.q
@@ -372,6 +378,32 @@ def test_every_list_satisfies_the_whole_system(ps):
                     x = entry.pluecker.coords
                     assert all(f.holds(x, q) for f in system.linear)
                     assert all(rel.evaluate(x, q) == 0 for rel in system.quadratic)
+
+
+@pytest.mark.parametrize("ps", SMALL_PARAMETER_SETS, ids=lambda ps: ps.label())
+def test_paper_walks_the_projected_coset(ps):
+    """`paper` walks exactly the codewords whose qualifying coordinates
+    extend to a solution of the linear system, and reports an infeasible
+    system exactly when there is none.  The lists alone do not pin this: a
+    decode that walks a larger coset still keeps the same list."""
+    code = ps.build()
+    n, k = code.n, code.k
+    block = [tuple_rank(t, n, k) for t in qualifying_tuples(n, k)]
+    others = sorted(set(range(comb(n, k))) - set(block))
+    rng = random.Random(ps.label())
+    uniform = random_subspace(code.ext.base, n, k, rng)
+    for r in (uniform, _corrupted(code, rng), _corrupted(code, rng)):
+        for e in range(k + 1):
+            linear = assemble_system(code, r, e).linear
+            lhs = MatGF.from_rows(code.ext.base, [[f.coeffs[i] for i in others] for f in linear])
+            coset = sum(
+                solve_affine(lhs, [f.rhs - sum(f.coeffs[j] * x[j] for j in block) for f in linear])
+                is not None
+                for x in (entry.pluecker.coords for entry in _code_table(code))
+            )
+            stats = decode_list(code, r, e).stats
+            assert stats["candidates_enumerated"] == coset
+            assert (stats["solver_path"] == "infeasible") == (coset == 0)
 
 
 def test_decoder_completeness_equivalence(demo_code):
