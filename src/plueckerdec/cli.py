@@ -12,7 +12,7 @@ import argparse
 import json
 import re
 import sys
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, FieldError, MatrixError
 from .gf import ExtElement, ExtFieldCtx, FieldCtx, ext_field, format_element
@@ -168,11 +168,14 @@ def message_str(msg: Sequence[ExtElement]) -> str:
     return ",".join(format_element(m) for m in msg)
 
 
-def emit(args: argparse.Namespace, text_lines: list[str], payload: dict) -> int:
+def emit(
+    args: argparse.Namespace, text_lines: Callable[[], list[str]], payload: Callable[[], dict]
+) -> int:
+    """Print the chosen format, built only when chosen."""
     if args.format == "json":
-        print(json.dumps(payload))
+        print(json.dumps(payload()))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
     return 0
 
@@ -184,43 +187,46 @@ def emit(args: argparse.Namespace, text_lines: list[str], payload: dict) -> int:
 def cmd_code(args: argparse.Namespace) -> int:
     code = build_code(args)
     G = generator_matrix(code)
-    lines = [
-        f"code: q={code.q} n={code.n} k={code.k} delta={code.delta} "
-        f"rho={code.rho} size={code.size}",
-        "modulus: " + ",".join(str(c) for c in code.ext.modulus),
-        "g: " + message_str(code.g),
-        "G: " + "; ".join(" ".join(format_element(x) for x in row) for row in G),
-        "codewords:",
-    ]
-    payload_words = []
-    for i, cw in enumerate(enumerate_code(code)):
-        sub = lift(cw)
-        pv = embed(sub)
-        lines.append(
-            f"codeword {i}: vector={message_str(cw.vec)} "
-            f"matrix=[{mat_inline(cw.mat)}] lifting=[{mat_inline(sub.basis)}] "
-            f"pluecker={pv}"
-        )
-        payload_words.append(
-            {
-                "vec": [m.to_list() for m in cw.vec],
-                "mat": cw.mat.to_lists(),
-                "lifting": sub.basis.to_lists(),
-                "pluecker": list(pv.coords),
-            }
-        )
-    payload = {
-        "q": code.q,
-        "n": code.n,
-        "k": code.k,
-        "delta": code.delta,
-        "rho": code.rho,
-        "size": code.size,
-        "modulus": list(code.ext.modulus),
-        "g": [x.to_list() for x in code.g],
-        "generator_matrix": [[x.to_list() for x in row] for row in G],
-        "codewords": payload_words,
-    }
+    words = [(cw, sub, embed(sub)) for cw, sub in ((cw, lift(cw)) for cw in enumerate_code(code))]
+
+    def lines() -> list[str]:
+        return [
+            f"code: q={code.q} n={code.n} k={code.k} delta={code.delta} "
+            f"rho={code.rho} size={code.size}",
+            "modulus: " + ",".join(str(c) for c in code.ext.modulus),
+            "g: " + message_str(code.g),
+            "G: " + "; ".join(" ".join(format_element(x) for x in row) for row in G),
+            "codewords:",
+            *(
+                f"codeword {i}: vector={message_str(cw.vec)} "
+                f"matrix=[{mat_inline(cw.mat)}] lifting=[{mat_inline(sub.basis)}] "
+                f"pluecker={pv}"
+                for i, (cw, sub, pv) in enumerate(words)
+            ),
+        ]
+
+    def payload() -> dict:
+        return {
+            "q": code.q,
+            "n": code.n,
+            "k": code.k,
+            "delta": code.delta,
+            "rho": code.rho,
+            "size": code.size,
+            "modulus": list(code.ext.modulus),
+            "g": [x.to_list() for x in code.g],
+            "generator_matrix": [[x.to_list() for x in row] for row in G],
+            "codewords": [
+                {
+                    "vec": [m.to_list() for m in cw.vec],
+                    "mat": cw.mat.to_lists(),
+                    "lifting": sub.basis.to_lists(),
+                    "pluecker": list(pv.coords),
+                }
+                for cw, sub, pv in words
+            ],
+        }
+
     return emit(args, lines, payload)
 
 
@@ -228,15 +234,18 @@ def cmd_encode(args: argparse.Namespace) -> int:
     code = build_code(args)
     msg = tuple(parse_element(code.ext, part) for part in split_elements(args.msg))
     cw = encode(code, msg)
-    payload = {"vec": [m.to_list() for m in cw.vec], "mat": cw.mat.to_lists()}
-    return emit(args, [mat_to_text(cw.mat)], payload)
+    return emit(
+        args,
+        lambda: [mat_to_text(cw.mat)],
+        lambda: {"vec": [m.to_list() for m in cw.vec], "mat": cw.mat.to_lists()},
+    )
 
 
 def cmd_lift(args: argparse.Namespace) -> int:
     ctx = FieldCtx(args.q)
     mat = parse_matrix_arg(ctx, args.matrix)
     sub = lift(mat)
-    return emit(args, [mat_to_text(sub.basis)], {"basis": sub.basis.to_lists()})
+    return emit(args, lambda: [mat_to_text(sub.basis)], lambda: {"basis": sub.basis.to_lists()})
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
@@ -244,24 +253,32 @@ def cmd_embed(args: argparse.Namespace) -> int:
     mat = parse_matrix_arg(ctx, args.matrix)
     sub = Subspace.from_matrix(mat)
     pv = embed(sub)
-    payload = {"n": pv.n, "k": pv.k, "coords": list(pv.coords)}
-    return emit(args, [str(pv)], payload)
+    return emit(
+        args, lambda: [str(pv)], lambda: {"n": pv.n, "k": pv.k, "coords": list(pv.coords)}
+    )
 
 
 def cmd_shuffle(args: argparse.Namespace) -> int:
     FieldCtx(args.q)  # validate q even though relations are field-free
     rels = shuffle_relations(args.n, args.k)
-    lines = [f"shuffle relations for n={args.n} k={args.k}: {len(rels)}"]
-    lines.extend(format_quadratic(rel, args.n, args.q) for rel in rels)
-    payload = {
-        "n": args.n,
-        "k": args.k,
-        "count": len(rels),
-        "relations": [
-            [{"a": list(a), "b": list(b), "coeff": c % args.q} for a, b, c in rel.terms]
-            for rel in rels
-        ],
-    }
+
+    def lines() -> list[str]:
+        return [
+            f"shuffle relations for n={args.n} k={args.k}: {len(rels)}",
+            *(format_quadratic(rel, args.n, args.q) for rel in rels),
+        ]
+
+    def payload() -> dict:
+        return {
+            "n": args.n,
+            "k": args.k,
+            "count": len(rels),
+            "relations": [
+                [{"a": list(a), "b": list(b), "coeff": c % args.q} for a, b, c in rel.terms]
+                for rel in rels
+            ],
+        }
+
     return emit(args, lines, payload)
 
 
@@ -276,19 +293,24 @@ def cmd_ball(args: argparse.Namespace) -> int:
     forbidden = ball_forbidden_tuples(sub.n, sub.k, args.e)
     forms = ball_equations(sub, args.e)
     tau = tau_count(sub.n, sub.k, args.e)
-    lines = [
-        f"ball: e={args.e} tau={tau}",
-        "forbidden tuples: "
-        + (" ".join("(" + ",".join(str(x) for x in t) + ")" for t in forbidden) or "none"),
-        "equations:",
-    ]
-    lines.extend(format_linear(f, sub.n, sub.k, args.q) for f in forms)
-    payload = {
-        "e": args.e,
-        "tau": tau,
-        "forbidden": [list(t) for t in forbidden],
-        "equations": [{"coeffs": list(f.coeffs), "rhs": f.rhs} for f in forms],
-    }
+
+    def lines() -> list[str]:
+        return [
+            f"ball: e={args.e} tau={tau}",
+            "forbidden tuples: "
+            + (" ".join("(" + ",".join(str(x) for x in t) + ")" for t in forbidden) or "none"),
+            "equations:",
+            *(format_linear(f, sub.n, sub.k, args.q) for f in forms),
+        ]
+
+    def payload() -> dict:
+        return {
+            "e": args.e,
+            "tau": tau,
+            "forbidden": [list(t) for t in forbidden],
+            "equations": [{"coeffs": list(f.coeffs), "rhs": f.rhs} for f in forms],
+        }
+
     return emit(args, lines, payload)
 
 
@@ -296,25 +318,30 @@ def cmd_blockcode(args: argparse.Namespace) -> int:
     code = build_code(args)
     bc = build_block_code(code)
     forms = extended_parity(bc)
-    lines = [
-        f"block code: length={len(bc.positions)} dim={code.rho}",
-        "positions: "
-        + " ".join("(" + ",".join(str(x) for x in t) + ")" for t in bc.positions),
-        "Gp:",
-        mat_to_text(bc.Gp),
-        "Hp:",
-        mat_to_text(bc.Hp),
-        "extended parity forms:",
-    ]
-    lines.extend(format_linear(f, code.n, code.k, code.q) for f in forms)
-    payload = {
-        "length": len(bc.positions),
-        "dim": code.rho,
-        "positions": [list(t) for t in bc.positions],
-        "Gp": bc.Gp.to_lists(),
-        "Hp": bc.Hp.to_lists(),
-        "extended_parity": [{"coeffs": list(f.coeffs), "rhs": f.rhs} for f in forms],
-    }
+
+    def lines() -> list[str]:
+        return [
+            f"block code: length={len(bc.positions)} dim={code.rho}",
+            "positions: "
+            + " ".join("(" + ",".join(str(x) for x in t) + ")" for t in bc.positions),
+            "Gp:",
+            mat_to_text(bc.Gp),
+            "Hp:",
+            mat_to_text(bc.Hp),
+            "extended parity forms:",
+            *(format_linear(f, code.n, code.k, code.q) for f in forms),
+        ]
+
+    def payload() -> dict:
+        return {
+            "length": len(bc.positions),
+            "dim": code.rho,
+            "positions": [list(t) for t in bc.positions],
+            "Gp": bc.Gp.to_lists(),
+            "Hp": bc.Hp.to_lists(),
+            "extended_parity": [{"coeffs": list(f.coeffs), "rhs": f.rhs} for f in forms],
+        }
+
     return emit(args, lines, payload)
 
 
@@ -323,39 +350,44 @@ def cmd_decode(args: argparse.Namespace) -> int:
     received = Subspace.from_matrix(parse_matrix_arg(code.ext.base, args.received))
     system, _ = system_report(code, received, args.e)
     result = decode_list(code, received, args.e, args.strategy)
-    lines = [
-        f"decode: e={args.e} strategy={args.strategy} received=[{mat_inline(received.basis)}]",
-        f"system: vars={system.nvars} linear={len(system.linear)} "
-        f"quadratic={len(system.quadratic)}",
-        "linear:",
-    ]
-    lines.extend(format_linear(f, code.n, code.k, code.q) for f in system.linear)
-    lines.append("quadratic:")
-    lines.extend(format_quadratic(rel, code.n, code.q) for rel in system.quadratic)
-    lines.append(f"list size: {len(result.entries)}")
-    for i, entry in enumerate(result.entries):
-        lines.append(
-            f"entry {i}: message={message_str(entry.message)} "
-            f"vector={message_str(entry.codeword.vec)} "
-            f"matrix=[{mat_inline(entry.codeword.mat)}] "
-            f"lifting=[{mat_inline(entry.subspace.basis)}] "
-            f"pluecker={entry.pluecker}"
-        )
-    payload = {
-        "received": received.basis.to_lists(),
-        "e": args.e,
-        "strategy": args.strategy,
-        "list": [
-            {
-                "message": [m.to_list() for m in entry.message],
-                "codeword_matrix": entry.codeword.mat.to_lists(),
-                "lifted_basis": entry.subspace.basis.to_lists(),
-                "pluecker": list(entry.pluecker.coords),
-            }
-            for entry in result.entries
-        ],
-        "stats": result.stats,
-    }
+
+    def lines() -> list[str]:
+        return [
+            f"decode: e={args.e} strategy={args.strategy} received=[{mat_inline(received.basis)}]",
+            f"system: vars={system.nvars} linear={len(system.linear)} "
+            f"quadratic={len(system.quadratic)}",
+            "linear:",
+            *(format_linear(f, code.n, code.k, code.q) for f in system.linear),
+            "quadratic:",
+            *(format_quadratic(rel, code.n, code.q) for rel in system.quadratic),
+            f"list size: {len(result.entries)}",
+            *(
+                f"entry {i}: message={message_str(entry.message)} "
+                f"vector={message_str(entry.codeword.vec)} "
+                f"matrix=[{mat_inline(entry.codeword.mat)}] "
+                f"lifting=[{mat_inline(entry.subspace.basis)}] "
+                f"pluecker={entry.pluecker}"
+                for i, entry in enumerate(result.entries)
+            ),
+        ]
+
+    def payload() -> dict:
+        return {
+            "received": received.basis.to_lists(),
+            "e": args.e,
+            "strategy": args.strategy,
+            "list": [
+                {
+                    "message": [m.to_list() for m in entry.message],
+                    "codeword_matrix": entry.codeword.mat.to_lists(),
+                    "lifted_basis": entry.subspace.basis.to_lists(),
+                    "pluecker": list(entry.pluecker.coords),
+                }
+                for entry in result.entries
+            ],
+            "stats": result.stats,
+        }
+
     return emit(args, lines, payload)
 
 

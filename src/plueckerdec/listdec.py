@@ -16,8 +16,10 @@ qualifying coordinates, so the parity forms hold identically (Hp y = 0
 exactly when y = Gp^T m for a message m) and drop out; it eliminates the
 normalization and the ball forms once over the other coordinates and the
 message digits, walks the projection of the solution set onto the digits
-in message order, and keeps the codewords that satisfy the ball forms.
-Every strategy lists its codewords in message order.
+in message order, screens each point by the ball forms on the Pluecker
+vector read off the minors of its codeword matrix, and builds entries only
+for the codewords that pass.  Every strategy lists its codewords in
+message order.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from typing import Callable, Iterator, Sequence
 from .errors import DecodeError
 from .gf import ExtElement, phi_inv
 from .matgf import (
-    MatGF, _echelon, _pack_row, _reduce, _slots, _unpack_row, kernel_basis, rank, rref,
-    solve_affine,
+    MatGF, _all_minors, _echelon, _pack_row, _reduce, _slots, _unpack_row, kernel_basis, rank,
+    rref, solve_affine,
 )
 from .gabidulin import (
     ENUMERATION_CAP,
@@ -50,6 +52,8 @@ from .pluecker import (
     LinearForm,
     PlueckerVector,
     QuadraticRelation,
+    _lifted_table,
+    _read_minors,
     all_tuples,
     ball_equations,
     embed,
@@ -69,22 +73,6 @@ def qualifying_tuples(n: int, k: int) -> tuple[IndexTuple, ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def _placements(n: int, k: int) -> tuple[tuple[int, int, int], ...]:
-    """(row, col, sign) of the codeword-matrix entry behind each qualifying
-    coordinate, in the order of `qualifying_tuples`.
-
-    With s the element of {1..k} missing from the tuple and t its unique
-    entry above k, the minor collapses to (-1)^(k-s) * a[s][t-k].
-    """
-    out = []
-    for pos in qualifying_tuples(n, k):
-        s = next(x for x in range(1, k + 1) if x not in pos)
-        t = pos[-1]  # tuples increase, so the one entry above k is last
-        out.append((s - 1, t - k - 1, (-1) ** (k - s)))
-    return tuple(out)
-
-
 def pluecker_entry_formula(i: Sequence[int], a: MatGF) -> int:
     """Coordinate of the lifted codeword of `a` at a qualifying tuple."""
     k = a.rows
@@ -93,8 +81,8 @@ def pluecker_entry_formula(i: Sequence[int], a: MatGF) -> int:
     positions = qualifying_tuples(n, k)
     if tt not in positions:
         raise DecodeError(f"tuple {tt} does not meet {{1..{k}}} in exactly {k - 1} positions")
-    row, col, sign = _placements(n, k)[positions.index(tt)]
-    return a.at(row, col) * sign % a.ctx.q
+    spot = _lifted_table(n, k)[tuple_rank(tt, n, k)]
+    return _read_minors(_all_minors(a.entries, k, a.cols, a.ctx.q), (spot,), a.ctx.q)[0]
 
 
 @dataclass(frozen=True)
@@ -117,9 +105,10 @@ def build_block_code(code: GabidulinCode) -> BlockCodeView:
     """
     n, k, q, ell = code.n, code.k, code.q, code.ell
     positions = qualifying_tuples(n, k)
-    places = _placements(n, k)
-    enc = _encoding_matrix(code)
-    rows = [[enc.at(r * ell + c, i) * sign % q for r, c, sign in places] for i in range(code.rho)]
+    table = _lifted_table(n, k)
+    spots = [table[tuple_rank(pos, n, k)] for pos in positions]
+    enc, rho = _encoding_matrix(code), code.rho
+    rows = [_read_minors(_all_minors(enc.entries[i::rho], k, ell, q), spots, q) for i in range(rho)]
     Gp = MatGF.from_rows(code.ext.base, rows)
     if rank(Gp) != code.rho:
         raise DecodeError("block code generator is rank deficient")
@@ -242,20 +231,44 @@ def _digit_order(code: GabidulinCode) -> tuple[int, ...]:
     return tuple(i * ell + j for i in reversed(range(code.msg_len)) for j in range(ell))
 
 
+@lru_cache(maxsize=None)
+def _digit_columns(code: GabidulinCode) -> tuple[int, ...]:
+    """Column of the encoding matrix for each F_q digit, in `_digit_order`
+    order, packed in slots that hold a sum of rho products."""
+    enc, rho = _encoding_matrix(code), code.rho
+    return tuple(_pack_row(enc.entries[p::rho], code.q, rho) for p in _digit_order(code))
+
+
+@lru_cache(maxsize=2**16)
+def _screen_at(code: GabidulinCode, digits: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Packed Pluecker vector of the lifted codeword whose message has the
+    F_q digits, least significant first, in the slots of the packed row
+    `digits`, with its codeword matrix A (the encoding matrix times the
+    message coordinates) and coordinates (the minors of A that
+    `_lifted_table` names); memoized, as candidates recur."""
+    k, ell, q, rho = code.k, code.ell, code.q, code.rho
+    d = _unpack_row(digits, rho, q)
+    total = sum(v * col for v, col in zip(d, _digit_columns(code)) if v)
+    a = tuple(v % q for v in _unpack_row(total, k * ell, q, rho))
+    coords = _read_minors(_all_minors(a, k, ell, q), _lifted_table(code.n, k), q)
+    return _pack_row(coords, q, len(coords)), a, coords
+
+
 @lru_cache(maxsize=2**16)
 def _entry_at(code: GabidulinCode, digits: int) -> DecodeEntry:
-    """Entry of the message whose F_q digits, least significant first, are
-    the slots of the packed row `digits`, its codeword matrix the encoding
-    matrix times the message coordinates; memoized, as candidates recur."""
+    """Entry of the message with these packed digits, built from its
+    `_screen_at` matrix and coordinates; memoized, and called only for
+    listed candidates."""
     ext, ell = code.ext, code.ell
+    packed, a, coords = _screen_at(code, digits)
     d = _unpack_row(digits, code.rho, code.q)
     x = tuple(d[p] for p in _digit_order(code))
     msg = tuple(ExtElement(ext, x[i : i + ell]) for i in range(0, code.rho, ell))
-    mat = _encoding_matrix(code) @ MatGF(ext.base, code.rho, 1, x)
-    mat = MatGF(ext.base, code.k, code.ell, mat.entries)
+    mat = MatGF(ext.base, code.k, ell, a)
     cw = RankCodeword(tuple(phi_inv(ext, mat.row_list(i)) for i in range(code.k)), mat)
-    sub = lift(cw)
-    return DecodeEntry(msg, cw, sub, embed(sub))
+    pv = PlueckerVector(ext.base, code.n, code.k, coords)
+    pv.__dict__["packed"] = packed  # the cached_property's slot
+    return DecodeEntry(msg, cw, lift(cw), pv)
 
 
 def _form_check(forms: Sequence[LinearForm], nvars: int, q: int) -> Callable[[int], bool]:
@@ -327,7 +340,8 @@ def _decode_paper(
     feasibility; its solution set projects onto a coset of the message
     space, walked in message order.  Each point is a lifted codeword, so it
     satisfies the normalization, the parity forms and the shuffle relations
-    by construction; it is kept when it satisfies the ball forms.
+    by construction; it is listed when its screen (`_screen_at`) satisfies
+    the ball forms, and only then gets an entry.
     """
     q, nvars = code.q, comb(code.n, code.k)
     cut, images = _solver_layout(code)
@@ -352,8 +366,10 @@ def _decode_paper(
             f"{total} candidate assignments exceed the enumeration cap {enumeration_cap}"
         )
     walk = _odometer(_pack_row(particular[cut:], q), steps[::-1], code.rho, q)
-    check = _form_check(ball, nvars, q)
-    entries = [en for en in map(partial(_entry_at, code), walk) if check(en.pluecker.packed)]
+    if ball:  # at e = k there are no forms and every point is listed
+        check, screen = _form_check(ball, nvars, q), partial(_screen_at, code)
+        walk = filter(lambda d: check(screen(d)[0]), walk)
+    entries = list(map(partial(_entry_at, code), walk))
     return entries, {"solver_path": "projected", "candidates_enumerated": total}
 
 

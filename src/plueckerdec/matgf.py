@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import MatrixError
@@ -268,8 +269,8 @@ def det(m: MatGF) -> int:
 def _det_submatrix(m: MatGF, ri: tuple[int, ...], ci: tuple[int, ...]) -> int:
     """Determinant of the 0-indexed submatrix.
 
-    The unrolled 2x2/3x3 cases carry the hot loop of ball-equation and
-    embedding computations; larger minors take a sign-tracked elimination.
+    The unrolled 2x2/3x3 cases carry the hot loop of `embed`; larger
+    minors take a sign-tracked elimination.
     """
     q = m.ctx.q
     e = m.entries
@@ -300,6 +301,45 @@ def _det_submatrix(m: MatGF, ri: tuple[int, ...], ci: tuple[int, ...]) -> int:
     for c, r in piv.items():
         total *= r >> c * bits & (1 << bits) - 1
     return total % q
+
+
+@lru_cache(maxsize=None)
+def _minor_plan(
+    k: int, m: int
+) -> tuple[dict[tuple[tuple[int, ...], tuple[int, ...]], int], tuple[tuple[tuple[int, int, int], ...], ...]]:
+    """Index of every minor (S, T) of a k x m matrix (0-based row and column
+    tuples), and the Laplace terms of those of size >= 2 in index order.
+
+    Minors come by size, then rows, then columns: the empty minor (1), then
+    the entries row-major, then the rest.  A minor expands along the first
+    row s of S as the sum over the p-th column t of T of (-1)^p a[s][t]
+    times the minor on (S - s, T - t), listed as (entry, minor, sign).
+    """
+    index: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    terms = []
+    for j in range(min(k, m) + 1):
+        for rows in combinations(range(k), j):
+            for cols in combinations(range(m), j):
+                index[rows, cols] = len(index)
+                if j >= 2:
+                    s, rest = rows[0], rows[1:]
+                    terms.append(tuple(
+                        (s * m + t, index[rest, cols[:p] + cols[p + 1 :]], (-1) ** p)
+                        for p, t in enumerate(cols)
+                    ))
+    return index, tuple(terms)
+
+
+def _all_minors(entries: Sequence[int], k: int, m: int, q: int) -> list[int]:
+    """Every minor of the k x m matrix with these row-major entries, in the
+    order of `_minor_plan`, each from the smaller ones already computed."""
+    out = [1, *entries]
+    for terms in _minor_plan(k, m)[1]:
+        acc = 0
+        for e, i, sign in terms:
+            acc += sign * entries[e] * out[i]
+        out.append(acc % q)
+    return out
 
 
 def _check_index_tuple(t: Sequence[int], upper: int, what: str) -> tuple[int, ...]:

@@ -5,7 +5,9 @@ like the minors they label), ordered lexicographically.  A subspace embeds
 into projective space as the vector of its k x k basis minors; quadratic
 shuffle relations cut out the image, and linear forms obtained from the
 minor matrix of a change-of-basis inverse describe balls of even subspace
-radius around any subspace.
+radius around any subspace.  The coefficients of those forms, and the
+coordinates of a lifting [I | A], are signed minors of one k x (n-k)
+block, read off one bottom-up pass over all its minors (`_all_minors`).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Sequence
 
 from .errors import GrassmannError
 from .gf import FieldCtx
-from .matgf import MatGF, _det_submatrix, _pack_row, rref
+from .matgf import MatGF, _all_minors, _det_submatrix, _minor_plan, _pack_row, rref
 from .gabidulin import ENUMERATION_CAP, Subspace
 
 IndexTuple = tuple[int, ...]
@@ -309,25 +311,95 @@ def ball_equations(r: Subspace, e: int) -> list[LinearForm]:
 
     A subspace V of the same dimension satisfies all the forms iff its
     subspace distance from r is at most 2e.  One form per forbidden tuple,
-    with coefficients read off the matching column of the minor matrix of
-    A^(-1) from construction4.  Empty for e = k.
+    with coefficients the matching column of the minor matrix of A^(-1)
+    from construction4, read off the minors of one k x (n-k) block (see
+    `_ball_pattern`).  Empty for e = k.
     """
+    if r.k == 0:
+        raise GrassmannError("a 0-dimensional space has no Pluecker embedding")
     return list(_ball_equations_cached(r, e))
+
+
+def _read_minors(minors: list[int], pattern: Sequence[int], q: int) -> tuple[int, ...]:
+    """The values `pattern` names in `minors`: i is minor i, ~i its negative,
+    len(minors) zero."""
+    signed = minors + [0] + [-x % q for x in reversed(minors)]
+    return tuple(map(signed.__getitem__, pattern))
+
+
+@lru_cache(maxsize=4096)
+def _ball_pattern(n: int, k: int, pivots: tuple[int, ...], e: int) -> tuple[int, ...]:
+    """The coefficients of every ball form, flat and form by form, as
+    `_read_minors` patterns over the minors of -U'', for a received space
+    with these 0-based pivot columns and U'' its free-column block.
+
+    A^(-1) from construction4 is P [[I_k, -U''], [0, I_(n-k)]] with the
+    permutation P moving block row j to pivot column p_j and block row k+t
+    to free column f_t.  A row tuple R thus picks block rows J (pivots) and
+    k+T_R (free ones), and a column tuple C the columns C1 <= k and k+T_C.
+    The minor on (R, C) is zero unless C1 lies in J and T_R in T_C: a unit
+    column or row would be empty.  Moving C1's unit rows and columns to the
+    front and T_R's to the back leaves it block triangular, so it is the
+    minor of -U'' on (J - C1, T_C - T_R), signed by the parity of sorting R
+    into block rows and of those two moves.
+    """
+    free = [c for c in range(n) if c not in pivots]
+    block_row = {p: j for j, p in enumerate(pivots)} | {f: k + t for t, f in enumerate(free)}
+    index = _minor_plan(k, n - k)[0]
+    zero = len(index)
+    out = []
+    for forbidden in ball_forbidden_tuples(n, k, e):
+        c1 = {x - 1 for x in forbidden if x <= k}
+        tc = [x - 1 - k for x in forbidden if x > k]
+        for rows in _zero_based_tuples(n, k):
+            br = [block_row[x] for x in rows]
+            j = sorted(x for x in br if x < k)
+            tr = {x - k for x in br if x >= k}
+            if not c1 <= set(j) or not tr <= set(tc):
+                out.append(zero)
+                continue
+            parity = sum(a > b for i, a in enumerate(br) for b in br[i + 1 :])
+            parity += sum(a < b for a in j if a not in c1 for b in c1)
+            parity += sum(a < b for a in tr for b in tc if b not in tr)
+            minor = index[tuple(x for x in j if x not in c1), tuple(t for t in tc if t not in tr)]
+            out.append(~minor if parity % 2 else minor)
+    return tuple(out)
 
 
 @lru_cache(maxsize=4096)
 def _ball_equations_cached(r: Subspace, e: int) -> tuple[LinearForm, ...]:
-    k, n = r.k, r.n
-    forbidden = ball_forbidden_tuples(n, k, e)
-    if not forbidden:
+    k, n, q = r.k, r.n, r.ctx.q
+    rows = r.basis.to_lists()
+    pivots = tuple(row.index(1) for row in rows)  # the basis is RREF
+    pattern = _ball_pattern(n, k, pivots, e)
+    if not pattern:
         return ()
-    _, a_inv = construction4(r)
-    col_matrix = phi_bar_columns(a_inv, forbidden)
-    forms = []
-    for j in range(len(forbidden)):
-        coeffs = tuple(col_matrix.at(i, j) for i in range(col_matrix.rows))
-        forms.append(LinearForm(coeffs, 0))
-    return tuple(forms)
+    free = [j for j in range(n) if j not in pivots]
+    neg_upp = [-row[j] % q for row in rows for j in free]
+    coeffs = _read_minors(_all_minors(neg_upp, k, n - k, q), pattern, q)
+    nvars = comb(n, k)
+    return tuple(LinearForm(coeffs[i : i + nvars], 0) for i in range(0, len(coeffs), nvars))
+
+
+@lru_cache(maxsize=None)
+def _lifted_table(n: int, k: int) -> tuple[int, ...]:
+    """Every coordinate of the lifting [I_k | A] of a k x (n-k) matrix A, in
+    lex tuple order, as a `_read_minors` pattern over the minors of A.
+
+    A tuple keeping the identity columns P and the columns k+T drops the
+    rows S of {1..k} outside P; moving the rows P to the front leaves the
+    block triangular [[I, *], [0, A[S, T]]], so the coordinate is the minor
+    on (S, T), negated when an odd number of pairs s in S, p in P has s < p.
+    """
+    index = _minor_plan(k, n - k)[0]
+    out = []
+    for t in _zero_based_tuples(n, k):
+        kept = [x for x in t if x < k]
+        dropped = tuple(s for s in range(k) if s not in kept)
+        minor = index[dropped, tuple(x - k for x in t if x >= k)]
+        parity = sum(s < p for s in dropped for p in kept)
+        out.append(~minor if parity % 2 else minor)
+    return tuple(out)
 
 
 def equidistant_lift(r: Subspace, a: MatGF) -> MatGF:

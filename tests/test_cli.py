@@ -1,6 +1,7 @@
 import io
 import json
 import time
+from argparse import Namespace
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest.mock import patch
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plueckerdec.cli import main, parse_element
+from plueckerdec.cli import emit, main, parse_element
 from plueckerdec.listdec import STRATEGIES
 from plueckerdec.gf import ext_field
 
@@ -267,8 +268,9 @@ def test_simulate_negative_trials_is_domain_error(capsys):
         ["shuffle", "--q", "2", "--n", "0", "--k", "0"],
         ["shuffle", "--q", "2", "--n", "3", "--k", "5"],
         ["embed", "--q", "3", "--matrix", "0 0 0;0 0 0"],
+        ["ball", "--q", "2", "--received", "0 0 0 0", "--e", "0"],
     ],
-    ids=["shuffle-k0", "shuffle-k-above-n", "embed-zero-space"],
+    ids=["shuffle-k0", "shuffle-k-above-n", "embed-zero-space", "ball-zero-space"],
 )
 def test_degenerate_grassmannian_is_domain_error(capsys, argv):
     rc, out, err = run_cli(capsys, argv)
@@ -298,6 +300,15 @@ def test_oversized_grassmannian_fails_at_once(capsys, argv):
     detail = json.loads(err)
     assert detail["module"] == "pluecker"
     assert "enumeration cap" in detail["error"]
+
+
+def test_emit_builds_only_the_chosen_format(capsys):
+    def unused():
+        raise AssertionError("built the format that is not printed")
+
+    assert emit(Namespace(format="json"), unused, lambda: {"a": 1}) == 0
+    assert emit(Namespace(format="text"), lambda: ["a", "b"], unused) == 0
+    assert capsys.readouterr().out == '{"a": 1}\na\nb\n'
 
 
 def test_element_grammar():

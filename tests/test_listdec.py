@@ -15,6 +15,7 @@ from plueckerdec.gabidulin import (
     encode,
     enumerate_code,
     enumerate_grassmannian,
+    enumerate_messages,
     lift,
     make_code,
     random_subspace,
@@ -22,7 +23,9 @@ from plueckerdec.gabidulin import (
 )
 from plueckerdec.listdec import (
     _code_table,
+    _entry_at,
     _form_check,
+    _screen_at,
     assemble_system,
     build_block_code,
     decode_list,
@@ -475,3 +478,32 @@ def test_paper_at_radius_k_is_the_code_table(ps):
     result = decode_list(code, r, code.k)
     assert result.stats["candidates_enumerated"] == code.size
     assert result.entries == _code_table(code)
+
+
+@pytest.mark.parametrize(
+    "params", [(5, 5, 2, 2), (3, 6, 3, 2), (2, 8, 4, 2)], ids=lambda p: "q{}_n{}_k{}_d{}".format(*p)
+)
+def test_screen_packs_the_embedding_of_every_codeword(params):
+    """The screen's packed vector, read off the minors of A = E x by the
+    lifted coordinate table, against `embed` of the `encode`-built lifting;
+    at (2,8,4,2) the table reaches 4 x 4 minors."""
+    code = make_code(*params)
+    q, rho = code.q, code.rho
+    for index, msg in enumerate(enumerate_messages(code)):
+        digits = _pack_row([index // q**s % q for s in range(rho)], q)
+        assert _screen_at(code, digits)[0] == embed(lift(encode(code, msg))).packed
+
+
+def test_paper_builds_entries_only_for_the_list():
+    """A cold decode screens every walked candidate and builds an entry
+    for each listed one only; at e = k the screen has no forms to check."""
+    code = make_code(3, 6, 3, 2)
+    rng = random.Random(11)
+    for r in (random_subspace(code.ext.base, code.n, code.k, rng), _corrupted(code, rng)):
+        for e in range(code.k + 1):
+            _screen_at.cache_clear()
+            _entry_at.cache_clear()
+            result = decode_list(code, r, e)
+            assert _entry_at.cache_info().misses == len(result.entries)
+            if e == 1:
+                assert _screen_at.cache_info().misses == result.stats["candidates_enumerated"]

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -9,6 +10,8 @@ from plueckerdec.errors import MatrixError
 from plueckerdec.gf import FieldCtx
 from plueckerdec.matgf import (
     MatGF,
+    _all_minors,
+    _minor_plan,
     det,
     kernel_basis,
     mat_from_text,
@@ -200,6 +203,22 @@ def test_minor_matches_laplace_oracle():
         expected = laplace_det(m, ri, ci)
         got = minor(m, tuple(i + 1 for i in ri), tuple(j + 1 for j in ci))
         assert got == expected
+
+
+def test_all_minors_match_laplace_oracle():
+    """Every minor of every shape up to 4 x 5, including the empty minor,
+    and the C(k+m, k) count of the plan."""
+    rng = random.Random(31)
+    for q in (2, 3, 7, 13):
+        ctx = FieldCtx(q)
+        for k in range(5):
+            for m in range(6):
+                a = random_matrix(ctx, k, m, rng)
+                index, _ = _minor_plan(k, m)
+                got = _all_minors(a.entries, k, m, q)
+                assert len(got) == len(index) == math.comb(k + m, k)
+                for (ri, ci), i in index.items():
+                    assert got[i] == (laplace_det(a, ri, ci) if ri else 1)
 
 
 def test_matmul_and_stacks():

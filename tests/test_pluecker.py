@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from plueckerdec.errors import GrassmannError
 from plueckerdec.gf import FieldCtx
-from plueckerdec.matgf import MatGF, minor, random_invertible, rank
+from plueckerdec.matgf import MatGF, _all_minors, minor, random_invertible, random_matrix, rank
 from plueckerdec.gabidulin import (
     Subspace,
     encode,
@@ -18,6 +18,8 @@ from plueckerdec.gabidulin import (
     subspace_distance,
 )
 from plueckerdec.pluecker import (
+    _lifted_table,
+    _read_minors,
     all_tuples,
     ball_equations,
     ball_forbidden_tuples,
@@ -275,6 +277,50 @@ def test_ball_equations_around_standard_space():
     assert forms[0].coeffs == (0, 0, 0, 0, 0, 1)  # x34 = 0
     assert forms[0].rhs == 0
     assert ball_equations(u0, 2) == []
+
+
+def _ball_reference(r, e):
+    """Construction 4 read literally: the forbidden columns of the minor
+    matrix of A^(-1), one determinant per coefficient."""
+    forbidden = ball_forbidden_tuples(r.n, r.k, e)
+    if not forbidden:
+        return []
+    col = phi_bar_columns(construction4(r)[1], forbidden)
+    return [tuple(col.at(i, j) for i in range(col.rows)) for j in range(col.cols)]
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 5, 2), (2, 6, 3), (3, 5, 2)])
+def test_ball_equations_match_construction4_exhaustive(q, n, k):
+    for r in enumerate_grassmannian(FieldCtx(q), n, k):
+        for e in range(k + 1):
+            forms = ball_equations(r, e)
+            assert [f.coeffs for f in forms] == _ball_reference(r, e)
+            assert all(f.rhs == 0 for f in forms)
+
+
+@pytest.mark.parametrize("q", [5, 7, 11, 13])
+def test_ball_equations_match_construction4_random(q):
+    """Larger fields, the extreme dimensions k = 1, n - 1 and n, and minors
+    of -U'' up to 4 x 4."""
+    rng = random.Random(q)
+    ctx = FieldCtx(q)
+    for n, k in [(4, 1), (6, 1), (4, 3), (6, 5), (4, 4), (5, 5), (7, 3), (8, 4)]:
+        for _ in range(3):
+            r = random_subspace(ctx, n, k, rng)
+            for e in range(k + 1):
+                assert [f.coeffs for f in ball_equations(r, e)] == _ball_reference(r, e)
+
+
+@pytest.mark.parametrize("q", [2, 5, 13])
+def test_lifted_table_matches_embed(q):
+    """Every coordinate of [I | A] as a signed minor of A, against `embed`."""
+    rng = random.Random(q)
+    ctx = FieldCtx(q)
+    for n, k in [(4, 1), (4, 3), (5, 2), (6, 3), (7, 3), (8, 4), (9, 4), (6, 6)]:
+        for _ in range(10):
+            a = random_matrix(ctx, k, n - k, rng)
+            minors = _all_minors(a.entries, k, n - k, q)
+            assert _read_minors(minors, _lifted_table(n, k), q) == embed(lift(a)).coords
 
 
 def test_ball_equations_worked(received_r1, received_r2):
