@@ -36,7 +36,7 @@ class ChannelConfig:
             )
 
 
-def corrupt(c: Subspace, cfg: ChannelConfig, retry_budget: int = RETRY_BUDGET) -> Subspace:
+def corrupt(c: Subspace, cfg: ChannelConfig) -> Subspace:
     """A subspace of the same dimension at distance exactly 2t from c.
 
     Deterministic in (c, cfg).  Raises when t exceeds the dimension or
@@ -49,7 +49,7 @@ def corrupt(c: Subspace, cfg: ChannelConfig, retry_budget: int = RETRY_BUDGET) -
     if cfg.t == 0:
         return c
     rng = random.Random(cfg.seed)
-    for _ in range(retry_budget):
+    for _ in range(RETRY_BUDGET):
         replace = sorted(rng.sample(range(k), cfg.t))
         rows = c.basis.to_lists()
         for i in replace:
@@ -58,7 +58,7 @@ def corrupt(c: Subspace, cfg: ChannelConfig, retry_budget: int = RETRY_BUDGET) -
         if candidate.k == k and subspace_distance(candidate, c) == 2 * cfg.t:
             return candidate
     raise ChannelError(
-        f"no subspace at distance {2 * cfg.t} found within {retry_budget} attempts"
+        f"no subspace at distance {2 * cfg.t} found within {RETRY_BUDGET} attempts"
     )
 
 

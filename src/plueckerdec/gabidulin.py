@@ -270,11 +270,9 @@ def enumerate_messages(code: GabidulinCode) -> Iterator[tuple[ExtElement, ...]]:
         yield msg
 
 
-def enumerate_code(
-    code: GabidulinCode, cap: int = ENUMERATION_CAP
-) -> Iterator[RankCodeword]:
-    if code.size > cap:
-        raise CodeError(f"code size {code.size} exceeds the enumeration cap {cap}")
+def enumerate_code(code: GabidulinCode) -> Iterator[RankCodeword]:
+    if code.size > ENUMERATION_CAP:
+        raise CodeError(f"code size {code.size} exceeds the enumeration cap {ENUMERATION_CAP}")
     for msg in enumerate_messages(code):
         yield encode(code, msg)
 

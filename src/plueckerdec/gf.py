@@ -317,17 +317,9 @@ class ExtElement:
         return ExtElement(self.ctx, tuple(s[: self.ctx.ell]))
 
     def __pow__(self, n: int) -> "ExtElement":
-        base = self
-        if n < 0:
-            base = self.inverse()
-            n = -n
-        result = self.ctx.one()
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        base = self.inverse() if n < 0 else self
+        red = _poly_powmod(base.coeffs, abs(n), self.ctx.modulus, self.ctx.q)
+        return ExtElement(self.ctx, tuple(red + [0] * (self.ctx.ell - len(red))))
 
     def __str__(self) -> str:
         return format_element(self)

@@ -169,24 +169,30 @@ def _check_decode_args(code: GabidulinCode, r: Subspace, e: int) -> None:
         raise DecodeError(f"need 0 <= e <= k, got e={e}")
 
 
+def _system_counts(code: GabidulinCode, e: int) -> dict:
+    """The system's size by its closed forms: tau + 1 + (delta-1)(n-k)
+    linear forms, C(n, 2k) shuffle relations and C(n, k) variables."""
+    n, k = code.n, code.k
+    return {
+        "linear_eqs": tau_count(n, k, e) + 1 + (code.delta - 1) * (n - k),
+        "quadratic_eqs": comb(n, 2 * k),
+        "vars": comb(n, k),
+    }
+
+
 def system_report(
     code: GabidulinCode, r: Subspace, e: int
 ) -> tuple[EquationSystem, dict]:
-    """Assembled system with its size statistics.
-
-    The counts are also recomputed from the closed forms
-    tau + 1 + (delta-1)(n-k) and C(n, 2k) and must agree.
-    """
+    """Assembled system with its size statistics, which must agree with
+    the closed forms (`_system_counts`)."""
     _check_decode_args(code, r, e)
-    n, k, delta = code.n, code.k, code.delta
     system = assemble_system(code, r, e)
     stats = {
         "linear_eqs": len(system.linear),
         "quadratic_eqs": len(system.quadratic),
         "vars": system.nvars,
     }
-    expected_linear = tau_count(n, k, e) + 1 + (delta - 1) * (n - k)
-    if stats["linear_eqs"] != expected_linear or stats["quadratic_eqs"] != comb(n, 2 * k):
+    if stats != _system_counts(code, e):
         raise DecodeError("equation counts disagree with the closed forms")
     return system, stats
 
@@ -327,9 +333,7 @@ def _solver_layout(code: GabidulinCode) -> tuple[int, tuple[int, ...]]:
     return len(others), tuple(_pack_row(rows[i], q, len(block)) for i in range(nvars))
 
 
-def _decode_paper(
-    code: GabidulinCode, r: Subspace, e: int, enumeration_cap: int
-) -> tuple[list[DecodeEntry], dict]:
+def _decode_paper(code: GabidulinCode, r: Subspace, e: int) -> tuple[list[DecodeEntry], dict]:
     """Solve the equation system over the message digits.
 
     A vector y on the qualifying coordinates meets the parity forms exactly
@@ -361,9 +365,9 @@ def _decode_paper(
     shift = 8 * _slots(q)[0] * cut
     steps = [v >> shift for v in kernel.packed if v >> shift]
     total = q ** len(steps)
-    if total > enumeration_cap:
+    if total > ENUMERATION_CAP:
         raise DecodeError(
-            f"{total} candidate assignments exceed the enumeration cap {enumeration_cap}"
+            f"{total} candidate assignments exceed the enumeration cap {ENUMERATION_CAP}"
         )
     walk = _odometer(_pack_row(particular[cut:], q), steps[::-1], code.rho, q)
     if ball:  # at e = k there are no forms and every point is listed
@@ -410,14 +414,7 @@ def _decode_oracle(code: GabidulinCode, r: Subspace, e: int) -> tuple[list[Decod
     return entries, {"candidates_enumerated": code.size}
 
 
-def decode_list(
-    code: GabidulinCode,
-    r: Subspace,
-    e: int,
-    strategy: str = "paper",
-    *,
-    enumeration_cap: int = ENUMERATION_CAP,
-) -> DecodeList:
+def decode_list(code: GabidulinCode, r: Subspace, e: int, strategy: str = "paper") -> DecodeList:
     """Complete list of codewords within subspace distance 2e of r.
 
     All strategies return the same entries, in message order; they differ
@@ -426,20 +423,18 @@ def decode_list(
     _check_decode_args(code, r, e)
     if strategy not in STRATEGIES:
         raise DecodeError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    if strategy != "paper" and code.size > enumeration_cap:  # before the code table is built
-        raise DecodeError(f"code size {code.size} exceeds the enumeration cap {enumeration_cap}")
+    if strategy != "paper" and code.size > ENUMERATION_CAP:  # before the code table is built
+        raise DecodeError(f"code size {code.size} exceeds the enumeration cap {ENUMERATION_CAP}")
     start = time.perf_counter()
     if strategy == "paper":
-        entries, extra = _decode_paper(code, r, e, enumeration_cap)
+        entries, extra = _decode_paper(code, r, e)
     elif strategy == "reduced":
         entries, extra = _decode_reduced(code, r, e)
     else:
         entries, extra = _decode_oracle(code, r, e)
     stats = {
         "strategy": strategy,
-        "linear_eqs": tau_count(code.n, code.k, e) + 1 + (code.delta - 1) * (code.n - code.k),
-        "quadratic_eqs": comb(code.n, 2 * code.k),
-        "vars": comb(code.n, code.k),
+        **_system_counts(code, e),
         "elapsed_ms": round((time.perf_counter() - start) * 1000.0, 3),
         **extra,
     }

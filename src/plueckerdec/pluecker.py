@@ -343,12 +343,13 @@ def _ball_pattern(n: int, k: int, pivots: tuple[int, ...], e: int) -> tuple[int,
     minor of -U'' on (J - C1, T_C - T_R), signed by the parity of sorting R
     into block rows and of those two moves.
     """
+    forbidden_tuples = ball_forbidden_tuples(n, k, e)  # capped, so the plan below is too
     free = [c for c in range(n) if c not in pivots]
     block_row = {p: j for j, p in enumerate(pivots)} | {f: k + t for t, f in enumerate(free)}
     index = _minor_plan(k, n - k)[0]
     zero = len(index)
     out = []
-    for forbidden in ball_forbidden_tuples(n, k, e):
+    for forbidden in forbidden_tuples:
         c1 = {x - 1 for x in forbidden if x <= k}
         tc = [x - 1 - k for x in forbidden if x > k]
         for rows in _zero_based_tuples(n, k):
@@ -391,9 +392,10 @@ def _lifted_table(n: int, k: int) -> tuple[int, ...]:
     block triangular [[I, *], [0, A[S, T]]], so the coordinate is the minor
     on (S, T), negated when an odd number of pairs s in S, p in P has s < p.
     """
+    tuples = _zero_based_tuples(n, k)  # capped, so the plan below is too
     index = _minor_plan(k, n - k)[0]
     out = []
-    for t in _zero_based_tuples(n, k):
+    for t in tuples:
         kept = [x for x in t if x < k]
         dropped = tuple(s for s in range(k) if s not in kept)
         minor = index[dropped, tuple(x - k for x in t if x >= k)]

@@ -11,7 +11,7 @@ from plueckerdec.gabidulin import (
     make_code,
     subspace_distance,
 )
-from plueckerdec.channel import ChannelConfig, corrupt, simulate_trials
+from plueckerdec.channel import RETRY_BUDGET, ChannelConfig, corrupt, simulate_trials
 from plueckerdec.listdec import decode_list
 
 
@@ -59,8 +59,8 @@ def test_corrupt_too_many_errors(demo_code):
 def test_corrupt_exhausts_retries_when_unreachable():
     # the full space is the only 2-dimensional subspace of F_2^2
     full = Subspace(MatGF.identity(FieldCtx(2), 2))
-    with pytest.raises(ChannelError):
-        corrupt(full, ChannelConfig(seed=3, t=1), retry_budget=50)
+    with pytest.raises(ChannelError, match=f"within {RETRY_BUDGET} attempts"):
+        corrupt(full, ChannelConfig(seed=3, t=1))
 
 
 def test_rng_family_pinned():

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from argparse import Namespace
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,6 +19,7 @@ from plueckerdec.listdec import STRATEGIES
 from plueckerdec.gf import ext_field
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 DEMO = ["--q", "2", "--n", "4", "--k", "2", "--delta", "2", "--g", "alpha,1"]
 
@@ -212,7 +217,7 @@ def test_invalid_parameters_rejected(capsys):
     assert json.loads(err)["module"] == "gabidulin"
 
 
-def test_code_above_enumeration_cap_fails_at_once(capsys):
+def test_oversized_code_fails_at_once(capsys):
     # 3^15 codewords, over the enumeration cap: rejected before any output
     rc, out, err = run_cli(
         capsys, ["code", "--q", "3", "--n", "10", "--k", "5", "--delta", "3"]
@@ -279,25 +284,69 @@ def test_degenerate_grassmannian_is_domain_error(capsys, argv):
     assert json.loads(err)["module"] == "pluecker"
 
 
+def _stair(k: int, n: int) -> str:
+    """The RREF text matrix [I_k | I_k | 0] of a k-dimensional subspace of F_2^n."""
+    return ";".join(" ".join("1" if j in (i, k + i) else "0" for j in range(n)) for i in range(k))
+
+
+# The child times `call` alone, after `setup`; a DomainError becomes the
+# CLI's error JSON on stderr and exit status 1.
+_BOUNDED_CHILD = """\
+import json, sys, time
+from plueckerdec import Subspace, decode_list, make_code
+from plueckerdec.cli import main
+from plueckerdec.errors import DomainError
+from plueckerdec.gf import FieldCtx
+from plueckerdec.matgf import mat_from_text
+from plueckerdec.pluecker import ball_equations
+{setup}
+start = time.perf_counter()
+try:
+    rc = {call}
+except DomainError as err:
+    print(json.dumps({{"module": err.module, "error": str(err)}}), file=sys.stderr)
+    rc = 1
+print(time.perf_counter() - start)
+sys.exit(rc if isinstance(rc, int) else 0)
+"""
+
+
+def _limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "setup,call",
     [
-        ["shuffle", "--q", "2", "--n", "40", "--k", "12"],
-        ["embed", "--q", "2", "--matrix", ";".join(
-            " ".join("1" if j == i or j == 12 + i else "0" for j in range(40)) for i in range(12)
-        )],
+        ("", 'main(["shuffle", "--q", "2", "--n", "40", "--k", "12"])'),
+        ("", f'main(["embed", "--q", "2", "--matrix", "{_stair(12, 40)}"])'),
+        ("", f'main(["ball", "--q", "2", "--received", "{_stair(12, 40)}", "--e", "0"])'),
+        (f'r = Subspace(mat_from_text(FieldCtx(2), "{_stair(12, 40)}"))', "ball_equations(r, 0)"),
+        (
+            "code = make_code(2, 24, 12, 12, modulus=[1, 0, 0, 1] + [0] * 8 + [1])\n"
+            f'r = Subspace(mat_from_text(FieldCtx(2), "{_stair(12, 24)}"))',
+            'decode_list(code, r, 1, "reduced")',
+        ),
     ],
-    ids=["shuffle-C40-24", "embed-12x40"],
+    ids=["shuffle-C40-24", "embed-12x40", "ball-12x40", "ball_equations-12x40", "decode-reduced-24-12"],
 )
-def test_oversized_grassmannian_fails_at_once(capsys, argv):
-    """C(40, 24) relations and C(40, 12) coordinates, both over the
-    enumeration cap: an error, not a growing enumeration."""
-    start = time.perf_counter()
-    rc, out, err = run_cli(capsys, argv)
-    assert time.perf_counter() - start < 1.0
-    assert rc == 1
-    assert out == ""
-    detail = json.loads(err)
+def test_oversized_grassmannian_fails_at_once(setup, call):
+    """C(40, 24) relations, C(40, 12) coordinates or ball-form columns and
+    the C(24, 12) coordinates of a decode, all over the enumeration cap: an
+    error before the minor plan or any other enumeration is built.  Each call runs in a child
+    limited to 1 GiB of address space and 10 s, so a cap checked after the
+    work it bounds fails here instead of stalling the suite."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _BOUNDED_CHILD.format(setup=setup, call=call)],
+        env=env, capture_output=True, text=True, timeout=10, preexec_fn=_limit_address_space,
+    )
+    assert done.returncode == 1, done.stderr
+    *out, seconds = done.stdout.splitlines()
+    assert out == []
+    assert float(seconds) < 1.0
+    detail = json.loads(done.stderr)
     assert detail["module"] == "pluecker"
     assert "enumeration cap" in detail["error"]
 

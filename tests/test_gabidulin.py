@@ -162,9 +162,10 @@ def test_enumerate_code_counts():
         assert rank_distance(a, b) >= 2
 
 
-def test_enumerate_code_cap(demo_code):
-    with pytest.raises(CodeError):
-        list(enumerate_code(demo_code, cap=3))
+def test_enumerate_code_cap(demo_code, monkeypatch):
+    monkeypatch.setattr("plueckerdec.gabidulin.ENUMERATION_CAP", 3)
+    with pytest.raises(CodeError, match="enumeration cap 3"):
+        list(enumerate_code(demo_code))
 
 
 @pytest.mark.parametrize("q,n,k,delta", [(2, 4, 2, 2), (3, 4, 2, 2), (2, 5, 2, 2), (2, 6, 3, 2), (2, 6, 3, 3), (5, 4, 2, 2)])

@@ -439,9 +439,16 @@ def test_decode_rejects_bad_radius_and_strategy(demo_code, received_r1):
         decode_list(demo_code, received_r1, 1, "magic")
 
 
-def test_decode_cap_exceeded(demo_code, received_r1):
-    with pytest.raises(DecodeError):
-        decode_list(demo_code, received_r1, 1, enumeration_cap=1)
+@pytest.mark.parametrize(
+    "strategy,site",
+    [("paper", "candidate assignments"), ("reduced", "code size"), ("oracle", "code size")],
+    ids=["paper", "reduced", "oracle"],
+)
+def test_decode_cap_exceeded(demo_code, received_r1, monkeypatch, strategy, site):
+    """`paper` caps the points it walks (2 here), the others the code size (4)."""
+    monkeypatch.setattr("plueckerdec.listdec.ENUMERATION_CAP", 1)
+    with pytest.raises(DecodeError, match=f"{site}.* exceeds? the enumeration cap 1$"):
+        decode_list(demo_code, received_r1, 1, strategy)
 
 
 def test_infeasible_system_returns_empty():
