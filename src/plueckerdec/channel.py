@@ -17,7 +17,6 @@ from .errors import ChannelError
 from .gabidulin import GabidulinCode, Subspace, encode, lift, subspace_distance
 from .matgf import MatGF
 
-RNG_FAMILY = "mt19937"
 RETRY_BUDGET = 1000
 
 
@@ -25,15 +24,10 @@ RETRY_BUDGET = 1000
 class ChannelConfig:
     seed: int
     t: int
-    rng_family: str = RNG_FAMILY
 
     def __post_init__(self) -> None:
         if self.t < 0:
             raise ChannelError(f"error count must be >= 0, got {self.t}")
-        if self.rng_family != RNG_FAMILY:
-            raise ChannelError(
-                f"unsupported rng family {self.rng_family!r}; this build pins {RNG_FAMILY!r}"
-            )
 
 
 def corrupt(c: Subspace, cfg: ChannelConfig) -> Subspace:

@@ -20,8 +20,8 @@ from .matgf import MatGF, mat_from_text, mat_to_text
 from .gabidulin import (
     GabidulinCode,
     Subspace,
+    _check_code_size,
     encode,
-    enumerate_code,
     generator_matrix,
     lift,
     make_code,
@@ -36,7 +36,9 @@ from .pluecker import (
     shuffle_relations,
     tau_count,
 )
-from .listdec import STRATEGIES, build_block_code, decode_list, extended_parity, system_report
+from .listdec import (
+    STRATEGIES, _code_table, build_block_code, decode_list, extended_parity, system_report,
+)
 from .channel import simulate_trials
 
 ELEMENT_GRAMMAR = """\
@@ -186,8 +188,9 @@ def emit(
 
 def cmd_code(args: argparse.Namespace) -> int:
     code = build_code(args)
+    _check_code_size(code)
     G = generator_matrix(code)
-    words = [(cw, sub, embed(sub)) for cw, sub in ((cw, lift(cw)) for cw in enumerate_code(code))]
+    words = [(en.codeword, en.subspace, en.pluecker) for en in _code_table(code)]
 
     def lines() -> list[str]:
         return [

@@ -270,9 +270,14 @@ def enumerate_messages(code: GabidulinCode) -> Iterator[tuple[ExtElement, ...]]:
         yield msg
 
 
-def enumerate_code(code: GabidulinCode) -> Iterator[RankCodeword]:
+def _check_code_size(code: GabidulinCode) -> None:
+    """Refuse a walk over the whole code beyond the enumeration cap."""
     if code.size > ENUMERATION_CAP:
         raise CodeError(f"code size {code.size} exceeds the enumeration cap {ENUMERATION_CAP}")
+
+
+def enumerate_code(code: GabidulinCode) -> Iterator[RankCodeword]:
+    _check_code_size(code)
     for msg in enumerate_messages(code):
         yield encode(code, msg)
 

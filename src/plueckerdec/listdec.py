@@ -43,8 +43,6 @@ from .gabidulin import (
     RankCodeword,
     Subspace,
     _encoding_matrix,
-    encode,
-    enumerate_messages,
     lift,
 )
 from .pluecker import (
@@ -56,7 +54,6 @@ from .pluecker import (
     _read_minors,
     all_tuples,
     ball_equations,
-    embed,
     shuffle_relations,
     tau_count,
     tuple_rank,
@@ -218,17 +215,6 @@ class DecodeList:
         return {entry.subspace for entry in self.entries}
 
 
-@lru_cache(maxsize=32)
-def _code_table(code: GabidulinCode) -> tuple[DecodeEntry, ...]:
-    """All codewords with their liftings and embeddings, message-lex order."""
-    table = []
-    for msg in enumerate_messages(code):
-        cw = encode(code, msg)
-        sub = lift(cw)
-        table.append(DecodeEntry(msg, cw, sub, embed(sub)))
-    return tuple(table)
-
-
 @lru_cache(maxsize=None)
 def _digit_order(code: GabidulinCode) -> tuple[int, ...]:
     """Message coordinate (i*ell + j: alpha^j of symbol i) of each F_q digit,
@@ -263,8 +249,8 @@ def _screen_at(code: GabidulinCode, digits: int) -> tuple[int, tuple[int, ...], 
 @lru_cache(maxsize=2**16)
 def _entry_at(code: GabidulinCode, digits: int) -> DecodeEntry:
     """Entry of the message with these packed digits, built from its
-    `_screen_at` matrix and coordinates; memoized, and called only for
-    listed candidates."""
+    `_screen_at` matrix and coordinates; memoized, and called for the code
+    table and for `paper`'s listed candidates only."""
     ext, ell = code.ext, code.ell
     packed, a, coords = _screen_at(code, digits)
     d = _unpack_row(digits, code.rho, code.q)
@@ -315,6 +301,14 @@ def _odometer(base: int, rows: list[int], rho: int, q: int) -> Iterator[int]:
             return
         counts[t] += 1
         point = _reduce(point + carry[t], rho, q)
+
+
+@lru_cache(maxsize=32)
+def _code_table(code: GabidulinCode) -> tuple[DecodeEntry, ...]:
+    """Every codeword's entry (`_entry_at`) in message order: the odometer walk
+    from 0 by the unit digit rows, most significant first, as `paper` walks."""
+    units = [_pack_row([0] * s + [1], code.q) for s in reversed(range(code.rho))]
+    return tuple(map(partial(_entry_at, code), _odometer(0, units, code.rho, code.q)))
 
 
 @lru_cache(maxsize=None)

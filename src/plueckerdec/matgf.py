@@ -252,7 +252,6 @@ def rref(m: MatGF) -> tuple[MatGF, tuple[int, ...]]:
     rows = list(m.packed)
     pivots = _rref_rows(rows, n, q)
     red = MatGF(m.ctx, m.rows, n, tuple(x for r in rows for x in _unpack_row(r, n, q)))
-    red.__dict__["packed"] = tuple(rows)  # the cached_property's slot
     return red, tuple(p + 1 for p in pivots)
 
 
@@ -397,7 +396,7 @@ def solve_affine(
 
 
 # ---------------------------------------------------------------------------
-# Randomized helpers (used by tests and the channel)
+# Randomized helpers (used by random_subspace and the tests)
 # ---------------------------------------------------------------------------
 
 def random_matrix(ctx: FieldCtx, rows: int, cols: int, rng) -> MatGF:

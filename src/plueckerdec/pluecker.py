@@ -344,6 +344,9 @@ def _ball_pattern(n: int, k: int, pivots: tuple[int, ...], e: int) -> tuple[int,
     into block rows and of those two moves.
     """
     forbidden_tuples = ball_forbidden_tuples(n, k, e)  # capped, so the plan below is too
+    size = len(forbidden_tuples) * comb(n, k)  # one coefficient per form and coordinate
+    if size > ENUMERATION_CAP:
+        raise GrassmannError(f"{size} ball-form coefficients exceed the enumeration cap")
     free = [c for c in range(n) if c not in pivots]
     block_row = {p: j for j, p in enumerate(pivots)} | {f: k + t for t, f in enumerate(free)}
     index = _minor_plan(k, n - k)[0]

@@ -63,11 +63,6 @@ def test_corrupt_exhausts_retries_when_unreachable():
         corrupt(full, ChannelConfig(seed=3, t=1))
 
 
-def test_rng_family_pinned():
-    with pytest.raises(ChannelError):
-        ChannelConfig(seed=1, t=1, rng_family="xoshiro")
-
-
 def test_closed_loop_unique_regime():
     code = make_code(2, 6, 3, 3)  # delta = 3: one error is uniquely decodable
     sent = lifted_codeword(code, 5)

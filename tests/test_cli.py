@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -229,6 +230,18 @@ def test_oversized_code_fails_at_once(capsys):
     assert "enumeration cap" in detail["error"]
 
 
+def test_code_json_is_unchanged(capsys):
+    """`code --format json` on q3_n6_k3_d2, printed from the code table, is
+    byte for byte the output of the encode -> lift -> embed construction
+    (its SHA-256 recorded from that construction)."""
+    rc, out, _ = run_cli(
+        capsys, ["code", "--q", "3", "--n", "6", "--k", "3", "--delta", "2", "--format", "json"]
+    )
+    assert rc == 0
+    digest = "b62eccd15458206b79332036cc94073a68774d4cb0d109158dea5efd9ec9c49d"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_large_prime_field_builds_at_once(capsys):
     """The modulus check is polynomial in log q: x^2 + 1 over F_1000003."""
     start = time.perf_counter()
@@ -322,17 +335,23 @@ def _limit_address_space() -> None:
         ("", f'main(["embed", "--q", "2", "--matrix", "{_stair(12, 40)}"])'),
         ("", f'main(["ball", "--q", "2", "--received", "{_stair(12, 40)}", "--e", "0"])'),
         (f'r = Subspace(mat_from_text(FieldCtx(2), "{_stair(12, 40)}"))', "ball_equations(r, 0)"),
+        ("", f'main(["ball", "--q", "2", "--received", "{_stair(7, 14)}", "--e", "0"])'),
+        (f'r = Subspace(mat_from_text(FieldCtx(2), "{_stair(7, 14)}"))', "ball_equations(r, 0)"),
         (
             "code = make_code(2, 24, 12, 12, modulus=[1, 0, 0, 1] + [0] * 8 + [1])\n"
             f'r = Subspace(mat_from_text(FieldCtx(2), "{_stair(12, 24)}"))',
             'decode_list(code, r, 1, "reduced")',
         ),
     ],
-    ids=["shuffle-C40-24", "embed-12x40", "ball-12x40", "ball_equations-12x40", "decode-reduced-24-12"],
+    ids=[
+        "shuffle-C40-24", "embed-12x40", "ball-12x40", "ball_equations-12x40",
+        "ball-7x14", "ball_equations-7x14", "decode-reduced-24-12",
+    ],
 )
 def test_oversized_grassmannian_fails_at_once(setup, call):
-    """C(40, 24) relations, C(40, 12) coordinates or ball-form columns and
-    the C(24, 12) coordinates of a decode, all over the enumeration cap: an
+    """C(40, 24) relations, C(40, 12) coordinates or ball-form columns, the
+    3,431 x 3,432 ball-form coefficients at (14, 7) and e = 0, and the
+    C(24, 12) coordinates of a decode, all over the enumeration cap: an
     error before the minor plan or any other enumeration is built.  Each call runs in a child
     limited to 1 GiB of address space and 10 s, so a cap checked after the
     work it bounds fails here instead of stalling the suite."""

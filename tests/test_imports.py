@@ -5,10 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    p for p in (Path(__file__).parent.parent / "src" / "plueckerdec").glob("*.py")
-    if p.name != "__init__.py"
-)
+SRC = Path(__file__).parent.parent / "src" / "plueckerdec"
+SOURCES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +32,23 @@ def test_no_unused_imports(path):
 def test_unused_import_is_reported():
     source = "from x import (\n    a,\n    b,  # noqa: F401\n    c,\n)\nimport d.e\nd.f(a)\n"
     assert unused_imports(source) == ["line 4: c"]
+
+
+def test_code_table_has_one_builder():
+    """`listdec` builds every entry through `_entry_at` and `plueckerdec code`
+    prints its table: neither reaches the definitional builders, which stay
+    public as the tests' reference for that table."""
+    listdec = ast.parse((SRC / "listdec.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(listdec) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not imported & {"encode", "enumerate_messages", "embed"}
+    cli = ast.parse((SRC / "cli.py").read_text())
+    (cmd_code,) = (n for n in cli.body if isinstance(n, ast.FunctionDef) and n.name == "cmd_code")
+    called = {
+        n.func.id for n in ast.walk(cmd_code)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+    }
+    assert not called & {"enumerate_code", "lift", "embed"}

@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -22,6 +23,7 @@ from plueckerdec.gabidulin import (
     subspace_distance,
 )
 from plueckerdec.listdec import (
+    DecodeEntry,
     _code_table,
     _entry_at,
     _form_check,
@@ -478,8 +480,7 @@ def test_entries_sorted_by_message(demo_code, received_r2):
 
 @pytest.mark.parametrize("ps", SMALL_PARAMETER_SETS, ids=lambda ps: ps.label())
 def test_paper_at_radius_k_is_the_code_table(ps):
-    # the index-built entries of `paper` against the `encode`-built table:
-    # message, codeword vector and matrix, subspace and Pluecker vector
+    # at e = k `paper` walks its whole coset, the code, in the table's order
     code = ps.build()
     r = random_subspace(code.ext.base, code.n, code.k, random.Random(ps.label()))
     result = decode_list(code, r, code.k)
@@ -487,18 +488,55 @@ def test_paper_at_radius_k_is_the_code_table(ps):
     assert result.entries == _code_table(code)
 
 
-@pytest.mark.parametrize(
-    "params", [(5, 5, 2, 2), (3, 6, 3, 2), (2, 8, 4, 2)], ids=lambda p: "q{}_n{}_k{}_d{}".format(*p)
-)
+@lru_cache(maxsize=None)
+def _definitional_table(code):
+    """encode, lift and embed for every message of `enumerate_messages`, in
+    its order: the construction that `_code_table` must reproduce."""
+    table = []
+    for msg in enumerate_messages(code):
+        cw = encode(code, msg)
+        sub = lift(cw)
+        table.append(DecodeEntry(msg, cw, sub, embed(sub)))
+    return tuple(table)
+
+
+def _label(params):
+    return "q{}_n{}_k{}_d{}".format(*params)
+
+
+@pytest.mark.parametrize("params", [(5, 5, 2, 2), (3, 6, 3, 2), (2, 8, 4, 2)], ids=_label)
 def test_screen_packs_the_embedding_of_every_codeword(params):
     """The screen's packed vector, read off the minors of A = E x by the
     lifted coordinate table, against `embed` of the `encode`-built lifting;
     at (2,8,4,2) the table reaches 4 x 4 minors."""
     code = make_code(*params)
     q, rho = code.q, code.rho
-    for index, msg in enumerate(enumerate_messages(code)):
+    for index, entry in enumerate(_definitional_table(code)):
         digits = _pack_row([index // q**s % q for s in range(rho)], q)
-        assert _screen_at(code, digits)[0] == embed(lift(encode(code, msg))).packed
+        assert _screen_at(code, digits)[0] == entry.pluecker.packed
+
+
+def _assert_table_is_definitional(code):
+    table, want = _code_table(code), _definitional_table(code)
+    assert table == want
+    assert [en.pluecker.packed for en in table] == [en.pluecker.packed for en in want]
+
+
+@pytest.mark.parametrize(
+    "params",
+    [(ps.q, ps.n, ps.k, ps.delta) for ps in SMALL_PARAMETER_SETS] + [(2, 8, 4, 2), (3, 7, 3, 2)],
+    ids=_label,
+)
+def test_code_table_is_the_definitional_construction(params):
+    """The table `reduced` and `oracle` filter and `plueckerdec code` prints,
+    walked from 0 by the unit digits and built from the minors of A, is the
+    encode -> lift -> embed construction entry for entry and in message
+    order, with the packed coordinates `reduced` checks."""
+    _assert_table_is_definitional(make_code(*params))
+
+
+def test_example8_code_table_is_the_definitional_construction(demo_code):
+    _assert_table_is_definitional(demo_code)
 
 
 def test_paper_builds_entries_only_for_the_list():
