@@ -40,7 +40,6 @@ from .gabidulin import (
     generator_matrix,
     lift,
     make_code,
-    message_of,
     mrd_bound,
     rank_distance,
     subspace_distance,

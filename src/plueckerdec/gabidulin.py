@@ -24,7 +24,6 @@ from .gf import (
     frobenius,
     lin_independent_over_base,
     phi,
-    phi_inv,
 )
 # vstack stays importable here: perfbench/spans.py wraps gabidulin.vstack
 from .matgf import MatGF, _echelon, random_matrix, rank, rref, vstack  # noqa: F401
@@ -190,42 +189,6 @@ def _encoding_matrix(code: GabidulinCode) -> MatGF:
     basis = ([alpha**j if t == i else zero for t in range(m)] for i in range(m) for j in range(ell))
     cols = [encode(code, msg).mat.entries for msg in basis]
     return MatGF.from_rows(code.ext.base, cols).transpose()
-
-
-@lru_cache(maxsize=None)
-def _message_map(code: GabidulinCode) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """An information set S of the encoding E (rho independent rows of E)
-    and rows R inverting E there: the codeword with matrix entries y has
-    the message coordinates x = sum_s y[S[s]] * R[s].
-
-    One RREF of [E^T | I] gives both: its pivots are the lex-first
-    information set, and its right block is the inverse of E^T on those
-    columns, whose transpose is the inverse of E on those rows.
-    """
-    enc, rho = _encoding_matrix(code), code.rho
-    rows = [list(enc.entries[t::rho]) + [int(s == t) for s in range(rho)] for t in range(rho)]
-    red, pivots = rref(MatGF.from_rows(code.ext.base, rows))
-    return tuple(p - 1 for p in pivots), tuple(tuple(red.row_list(s)[enc.rows :]) for s in range(rho))
-
-
-def message_of(code: GabidulinCode, cw: RankCodeword) -> tuple[ExtElement, ...]:
-    """Recover the message of a codeword from its matrix over F_q: the
-    coordinates x (i*ell + j is alpha^j of symbol i) read off the
-    information set, checked by re-encoding."""
-    entries = cw.mat.entries
-    if len(entries) != code.k * code.ell:
-        raise CodeError("not a codeword of this code")
-    info, inv = _message_map(code)
-    q, rho, ell = code.q, code.rho, code.ell
-    x = [0] * rho
-    for s, row in zip(info, inv):
-        y = entries[s]
-        if y:
-            x = [a + y * b for a, b in zip(x, row)]
-    x = tuple(a % q for a in x)
-    if (_encoding_matrix(code) @ MatGF(code.ext.base, rho, 1, x)).entries != entries:
-        raise CodeError("not a codeword of this code")
-    return tuple(phi_inv(code.ext, x[i * ell : (i + 1) * ell]) for i in range(code.msg_len))
 
 
 def rank_distance(a: RankCodeword | MatGF, b: RankCodeword | MatGF) -> int:

@@ -78,7 +78,7 @@ def pluecker_entry_formula(i: Sequence[int], a: MatGF) -> int:
     positions = qualifying_tuples(n, k)
     if tt not in positions:
         raise DecodeError(f"tuple {tt} does not meet {{1..{k}}} in exactly {k - 1} positions")
-    spot = _lifted_table(n, k)[tuple_rank(tt, n, k)]
+    spot = _lifted_table(n, k, tuple(range(k)))[tuple_rank(tt, n, k)]
     return _read_minors(_all_minors(a.entries, k, a.cols, a.ctx.q), (spot,), a.ctx.q)[0]
 
 
@@ -102,7 +102,7 @@ def build_block_code(code: GabidulinCode) -> BlockCodeView:
     """
     n, k, q, ell = code.n, code.k, code.q, code.ell
     positions = qualifying_tuples(n, k)
-    table = _lifted_table(n, k)
+    table = _lifted_table(n, k, tuple(range(k)))
     spots = [table[tuple_rank(pos, n, k)] for pos in positions]
     enc, rho = _encoding_matrix(code), code.rho
     rows = [_read_minors(_all_minors(enc.entries[i::rho], k, ell, q), spots, q) for i in range(rho)]
@@ -231,36 +231,40 @@ def _digit_columns(code: GabidulinCode) -> tuple[int, ...]:
     return tuple(_pack_row(enc.entries[p::rho], code.q, rho) for p in _digit_order(code))
 
 
-@lru_cache(maxsize=2**16)
-def _screen_at(code: GabidulinCode, digits: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Packed Pluecker vector of the lifted codeword whose message has the
-    F_q digits, least significant first, in the slots of the packed row
-    `digits`, with its codeword matrix A (the encoding matrix times the
-    message coordinates) and coordinates (the minors of A that
-    `_lifted_table` names); memoized, as candidates recur."""
+def _minors_at(code: GabidulinCode, digits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The codeword matrix A (the encoding matrix times the message
+    coordinates) of the message whose F_q digits, least significant first,
+    sit in the slots of the packed row `digits`, and the coordinates of its
+    lifting (the minors of A that `_lifted_table` names)."""
     k, ell, q, rho = code.k, code.ell, code.q, code.rho
     d = _unpack_row(digits, rho, q)
     total = sum(v * col for v, col in zip(d, _digit_columns(code)) if v)
     a = tuple(v % q for v in _unpack_row(total, k * ell, q, rho))
-    coords = _read_minors(_all_minors(a, k, ell, q), _lifted_table(code.n, k), q)
-    return _pack_row(coords, q, len(coords)), a, coords
+    return a, _read_minors(_all_minors(a, k, ell, q), _lifted_table(code.n, k, tuple(range(k))), q)
+
+
+@lru_cache(maxsize=2**16)
+def _screen_at(code: GabidulinCode, digits: int) -> int:
+    """Packed Pluecker vector (`PlueckerVector.packed`) of the lifted
+    codeword of the message with these packed digits (`_minors_at`);
+    memoized, as candidates recur."""
+    coords = _minors_at(code, digits)[1]
+    return _pack_row(coords, code.q, len(coords))
 
 
 @lru_cache(maxsize=2**16)
 def _entry_at(code: GabidulinCode, digits: int) -> DecodeEntry:
     """Entry of the message with these packed digits, built from its
-    `_screen_at` matrix and coordinates; memoized, and called for the code
+    `_minors_at` matrix and coordinates; memoized, and called for the code
     table and for `paper`'s listed candidates only."""
     ext, ell = code.ext, code.ell
-    packed, a, coords = _screen_at(code, digits)
+    a, coords = _minors_at(code, digits)
     d = _unpack_row(digits, code.rho, code.q)
     x = tuple(d[p] for p in _digit_order(code))
     msg = tuple(ExtElement(ext, x[i : i + ell]) for i in range(0, code.rho, ell))
     mat = MatGF(ext.base, code.k, ell, a)
     cw = RankCodeword(tuple(phi_inv(ext, mat.row_list(i)) for i in range(code.k)), mat)
-    pv = PlueckerVector(ext.base, code.n, code.k, coords)
-    pv.__dict__["packed"] = packed  # the cached_property's slot
-    return DecodeEntry(msg, cw, lift(cw), pv)
+    return DecodeEntry(msg, cw, lift(cw), PlueckerVector(ext.base, code.n, code.k, coords))
 
 
 def _form_check(forms: Sequence[LinearForm], nvars: int, q: int) -> Callable[[int], bool]:
@@ -366,7 +370,7 @@ def _decode_paper(code: GabidulinCode, r: Subspace, e: int) -> tuple[list[Decode
     walk = _odometer(_pack_row(particular[cut:], q), steps[::-1], code.rho, q)
     if ball:  # at e = k there are no forms and every point is listed
         check, screen = _form_check(ball, nvars, q), partial(_screen_at, code)
-        walk = filter(lambda d: check(screen(d)[0]), walk)
+        walk = filter(lambda d: check(screen(d)), walk)
     entries = list(map(partial(_entry_at, code), walk))
     return entries, {"solver_path": "projected", "candidates_enumerated": total}
 

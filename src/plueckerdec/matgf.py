@@ -266,9 +266,12 @@ def det(m: MatGF) -> int:
 
 
 def _det_submatrix(m: MatGF, ri: tuple[int, ...], ci: tuple[int, ...]) -> int:
-    """Determinant of the 0-indexed submatrix.
+    """Determinant of the 0-indexed submatrix, one minor at a time, for
+    `det`, `minor` and the reference `phi_bar_columns`; every minor of a
+    block at once comes from `_all_minors`.
 
-    The unrolled 2x2/3x3 cases carry the hot loop of `embed`; larger
+    The unrolled 2x2/3x3 cases carry the tests' references (`minor` of
+    each coordinate, `phi_bar_columns` of construction4) at k <= 3; larger
     minors take a sign-tracked elimination.
     """
     q = m.ctx.q

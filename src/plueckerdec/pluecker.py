@@ -5,18 +5,20 @@ like the minors they label), ordered lexicographically.  A subspace embeds
 into projective space as the vector of its k x k basis minors; quadratic
 shuffle relations cut out the image, and linear forms obtained from the
 minor matrix of a change-of-basis inverse describe balls of even subspace
-radius around any subspace.  The coefficients of those forms, and the
-coordinates of a lifting [I | A], are signed minors of one k x (n-k)
-block, read off one bottom-up pass over all its minors (`_all_minors`).
+radius around any subspace.  Every coordinate of a subspace, and every
+coefficient of its ball forms, is a signed minor of the free-column block
+U'' of its RREF basis: one bottom-up pass over all minors of U''
+(`_all_minors`) gives them all, read through a pattern keyed by the pivot
+columns (`_lifted_table`, `_ball_pattern`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import comb
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import GrassmannError
 from .gf import FieldCtx
@@ -136,7 +138,8 @@ def normalize(ctx: FieldCtx, n: int, k: int, coords: Sequence[int]) -> PlueckerV
 
 
 def embed(u: Subspace) -> PlueckerVector:
-    """Vector of all k x k minors of the RREF basis, in lex tuple order.
+    """Vector of all k x k minors of the RREF basis, in lex tuple order,
+    read off the minors of its free-column block (`_lifted_table`).
 
     The basis being RREF makes the raw vector already normalized: the lex
     first nonzero minor sits at the pivot tuple and equals 1.
@@ -144,10 +147,7 @@ def embed(u: Subspace) -> PlueckerVector:
     k, n = u.k, u.n
     if k == 0:
         raise GrassmannError("a 0-dimensional space has no Pluecker embedding")
-    rows = tuple(range(k))
-    basis = u.basis
-    coords = tuple(_det_submatrix(basis, rows, t) for t in _zero_based_tuples(n, k))
-    return PlueckerVector(u.ctx, n, k, coords)
+    return PlueckerVector(u.ctx, n, k, _free_block_minors(u, partial(_lifted_table, n, k)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +327,27 @@ def _read_minors(minors: list[int], pattern: Sequence[int], q: int) -> tuple[int
     return tuple(map(signed.__getitem__, pattern))
 
 
+def _free_block_minors(
+    u: Subspace, pattern_at: Callable[[tuple[int, ...]], tuple[int, ...]]
+) -> tuple[int, ...]:
+    """The values that `pattern_at(pivots)` names among the minors of U'',
+    for the RREF basis of u with these 0-based pivot columns and U'' its
+    free-column block.  The pattern comes first: its lookup checks the caps
+    that bound the minors planned after it."""
+    k, n, q = u.k, u.n, u.ctx.q
+    rows = u.basis.to_lists()
+    pivots = tuple(row.index(1) for row in rows)  # the basis is RREF
+    pattern = pattern_at(pivots)
+    if not pattern:
+        return ()
+    upp = [row[j] for row in rows for j in range(n) if j not in pivots]
+    return _read_minors(_all_minors(upp, k, n - k, q), pattern, q)
+
+
 @lru_cache(maxsize=4096)
-def _ball_pattern(n: int, k: int, pivots: tuple[int, ...], e: int) -> tuple[int, ...]:
+def _ball_pattern(n: int, k: int, e: int, pivots: tuple[int, ...]) -> tuple[int, ...]:
     """The coefficients of every ball form, flat and form by form, as
-    `_read_minors` patterns over the minors of -U'', for a received space
+    `_read_minors` patterns over the minors of U'', for a received space
     with these 0-based pivot columns and U'' its free-column block.
 
     A^(-1) from construction4 is P [[I_k, -U''], [0, I_(n-k)]] with the
@@ -341,14 +358,15 @@ def _ball_pattern(n: int, k: int, pivots: tuple[int, ...], e: int) -> tuple[int,
     column or row would be empty.  Moving C1's unit rows and columns to the
     front and T_R's to the back leaves it block triangular, so it is the
     minor of -U'' on (J - C1, T_C - T_R), signed by the parity of sorting R
-    into block rows and of those two moves.
+    into block rows and of those two moves; that minor is (-1)^size times
+    the minor of U''.
     """
     forbidden_tuples = ball_forbidden_tuples(n, k, e)  # capped, so the plan below is too
     size = len(forbidden_tuples) * comb(n, k)  # one coefficient per form and coordinate
     if size > ENUMERATION_CAP:
         raise GrassmannError(f"{size} ball-form coefficients exceed the enumeration cap")
-    free = [c for c in range(n) if c not in pivots]
-    block_row = {p: j for j, p in enumerate(pivots)} | {f: k + t for t, f in enumerate(free)}
+    order = sorted(range(n), key=lambda c: c not in pivots)  # pivots first, then free
+    block_row = {c: b for b, c in enumerate(order)}
     index = _minor_plan(k, n - k)[0]
     zero = len(index)
     out = []
@@ -362,47 +380,51 @@ def _ball_pattern(n: int, k: int, pivots: tuple[int, ...], e: int) -> tuple[int,
             if not c1 <= set(j) or not tr <= set(tc):
                 out.append(zero)
                 continue
-            parity = sum(a > b for i, a in enumerate(br) for b in br[i + 1 :])
-            parity += sum(a < b for a in j if a not in c1 for b in c1)
+            s = tuple(x for x in j if x not in c1)
+            parity = sum(a > b for i, a in enumerate(br) for b in br[i + 1 :]) + len(s)
+            parity += sum(a < b for a in s for b in c1)
             parity += sum(a < b for a in tr for b in tc if b not in tr)
-            minor = index[tuple(x for x in j if x not in c1), tuple(t for t in tc if t not in tr)]
+            minor = index[s, tuple(t for t in tc if t not in tr)]
             out.append(~minor if parity % 2 else minor)
     return tuple(out)
 
 
 @lru_cache(maxsize=4096)
 def _ball_equations_cached(r: Subspace, e: int) -> tuple[LinearForm, ...]:
-    k, n, q = r.k, r.n, r.ctx.q
-    rows = r.basis.to_lists()
-    pivots = tuple(row.index(1) for row in rows)  # the basis is RREF
-    pattern = _ball_pattern(n, k, pivots, e)
-    if not pattern:
-        return ()
-    free = [j for j in range(n) if j not in pivots]
-    neg_upp = [-row[j] % q for row in rows for j in free]
-    coeffs = _read_minors(_all_minors(neg_upp, k, n - k, q), pattern, q)
+    n, k = r.n, r.k
+    coeffs = _free_block_minors(r, partial(_ball_pattern, n, k, e))
     nvars = comb(n, k)
     return tuple(LinearForm(coeffs[i : i + nvars], 0) for i in range(0, len(coeffs), nvars))
 
 
-@lru_cache(maxsize=None)
-def _lifted_table(n: int, k: int) -> tuple[int, ...]:
-    """Every coordinate of the lifting [I_k | A] of a k x (n-k) matrix A, in
-    lex tuple order, as a `_read_minors` pattern over the minors of A.
+@lru_cache(maxsize=4096)
+def _lifted_table(n: int, k: int, pivots: tuple[int, ...]) -> tuple[int, ...]:
+    """Every coordinate of the k x n matrix with unit columns e_1, ..., e_k
+    at these 0-based pivot columns and a k x (n-k) block U'' in the others,
+    in lex tuple order, as a `_read_minors` pattern over the minors of U''.
+    An RREF basis is such a matrix; the lifting [I_k | A] is the one with
+    pivots (0, ..., k-1) and U'' = A.
 
-    A tuple keeping the identity columns P and the columns k+T drops the
-    rows S of {1..k} outside P; moving the rows P to the front leaves the
-    block triangular [[I, *], [0, A[S, T]]], so the coordinate is the minor
-    on (S, T), negated when an odd number of pairs s in S, p in P has s < p.
+    Moving the pivots to the front turns the matrix into [I_k | U''] and a
+    tuple into block columns: the identity columns P and the columns k+T.
+    Those drop the rows S of {1..k} outside P; moving the rows P to the
+    front leaves the block triangular [[I, *], [0, U''[S, T]]], so the
+    coordinate is the minor on (S, T), negated when the pairs s in S, p in P
+    with s < p and the inversions of the tuple's block columns are odd in
+    number.
     """
     tuples = _zero_based_tuples(n, k)  # capped, so the plan below is too
+    order = sorted(range(n), key=lambda c: c not in pivots)  # pivots first, then free
+    block = {c: b for b, c in enumerate(order)}
     index = _minor_plan(k, n - k)[0]
     out = []
     for t in tuples:
-        kept = [x for x in t if x < k]
+        cols = [block[x] for x in t]
+        kept = [x for x in cols if x < k]  # ascending, as the pivots keep their order
         dropped = tuple(s for s in range(k) if s not in kept)
-        minor = index[dropped, tuple(x - k for x in t if x >= k)]
-        parity = sum(s < p for s in dropped for p in kept)
+        minor = index[dropped, tuple(x - k for x in cols if x >= k)]
+        parity = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1 :])
+        parity += sum(s < p for s in dropped for p in kept)
         out.append(~minor if parity % 2 else minor)
     return tuple(out)
 

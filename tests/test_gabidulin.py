@@ -17,7 +17,6 @@ from plueckerdec.gabidulin import (
     generator_matrix,
     lift,
     make_code,
-    message_of,
     mrd_bound,
     random_subspace,
     rank_distance,
@@ -209,24 +208,6 @@ def test_encode_injective():
         cw = encode(code, msg)
         assert cw.mat not in seen
         seen[cw.mat] = msg
-
-
-@pytest.mark.parametrize("q,n,k,delta", [(2, 6, 3, 2), (3, 6, 3, 2), (5, 5, 2, 2)])
-def test_message_of_roundtrip(q, n, k, delta):
-    code = make_code(q, n, k, delta)
-    words = set()
-    for msg in enumerate_messages(code):
-        cw = encode(code, msg)
-        assert message_of(code, cw) == msg
-        words.add(cw.mat.entries)
-    assert len(words) == code.size
-    # every matrix outside the code has no message
-    ext, ell = code.ext, code.ell
-    for flat in itertools.product(range(q), repeat=k * ell):
-        if flat not in words:
-            vec = tuple(ext.element(flat[ell * i : ell * (i + 1)]) for i in range(k))
-            with pytest.raises(CodeError):
-                message_of(code, RankCodeword(vec, MatGF(ext.base, k, ell, flat)))
 
 
 def test_code_validation():

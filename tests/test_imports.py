@@ -52,3 +52,19 @@ def test_code_table_has_one_builder():
         if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
     }
     assert not called & {"enumerate_code", "lift", "embed"}
+
+
+def test_coordinates_have_one_minor_kernel():
+    """In `pluecker` only the reference `phi_bar_columns` takes single minors
+    (`_det_submatrix`); `embed` and the ball forms read every minor of the
+    free-column block through one helper, the only user of `_all_minors`."""
+    pluecker = ast.parse((SRC / "pluecker.py").read_text())
+    users: dict[str, set[str]] = {}
+    for fn in pluecker.body:
+        if isinstance(fn, ast.FunctionDef):
+            for n in ast.walk(fn):
+                if isinstance(n, ast.Name):
+                    users.setdefault(n.id, set()).add(fn.name)
+    assert users["_det_submatrix"] == {"phi_bar_columns"}
+    assert users["_all_minors"] == {"_free_block_minors"}
+    assert users["_free_block_minors"] == {"embed", "_ball_equations_cached"}

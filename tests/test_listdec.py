@@ -513,7 +513,7 @@ def test_screen_packs_the_embedding_of_every_codeword(params):
     q, rho = code.q, code.rho
     for index, entry in enumerate(_definitional_table(code)):
         digits = _pack_row([index // q**s % q for s in range(rho)], q)
-        assert _screen_at(code, digits)[0] == entry.pluecker.packed
+        assert _screen_at(code, digits) == entry.pluecker.packed
 
 
 def _assert_table_is_definitional(code):

@@ -117,8 +117,10 @@ def test_normalize_examples():
 
 
 def test_embed_basis_invariance():
+    """`embed` against `minor` of a scrambled basis; up to k = 4, whose
+    minors `minor` takes by elimination."""
     rng = random.Random(91)
-    for q, n, k in [(2, 4, 2), (3, 4, 2), (5, 4, 2), (2, 5, 2)]:
+    for q, n, k in [(2, 4, 2), (3, 4, 2), (5, 4, 2), (2, 5, 2), (3, 6, 3), (2, 8, 4), (5, 7, 3)]:
         ctx = FieldCtx(q)
         for _ in range(200):
             sub = random_subspace(ctx, n, k, rng)
@@ -128,6 +130,17 @@ def test_embed_basis_invariance():
                 minor(scrambled, tuple(range(1, k + 1)), t) for t in all_tuples(n, k)
             ]
             assert normalize(ctx, n, k, raw) == embed(sub)
+
+
+@pytest.mark.parametrize("q,n,k", [(2, 5, 2), (2, 6, 3), (3, 5, 2)])
+def test_embed_is_the_minor_vector_exhaustive(q, n, k):
+    """Every subspace, so every pivot pattern: `embed` reads the minors of
+    the free-column block, `minor` takes each minor of the basis itself."""
+    ctx = FieldCtx(q)
+    rows = tuple(range(1, k + 1))
+    for sub in enumerate_grassmannian(ctx, n, k):
+        raw = [minor(sub.basis, rows, t) for t in all_tuples(n, k)]
+        assert embed(sub) == normalize(ctx, n, k, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +326,23 @@ def test_ball_equations_match_construction4_random(q):
 
 @pytest.mark.parametrize("q", [2, 5, 13])
 def test_lifted_table_matches_embed(q):
-    """Every coordinate of [I | A] as a signed minor of A, against `embed`."""
+    """The table `embed` reads: every coordinate of the matrix with unit
+    columns at random pivots and a random block U'' in the other columns,
+    as a signed minor of U'', against `minor` of that matrix."""
     rng = random.Random(q)
     ctx = FieldCtx(q)
     for n, k in [(4, 1), (4, 3), (5, 2), (6, 3), (7, 3), (8, 4), (9, 4), (6, 6)]:
         for _ in range(10):
-            a = random_matrix(ctx, k, n - k, rng)
-            minors = _all_minors(a.entries, k, n - k, q)
-            assert _read_minors(minors, _lifted_table(n, k), q) == embed(lift(a)).coords
+            pivots = tuple(sorted(rng.sample(range(n), k)))
+            free = [c for c in range(n) if c not in pivots]
+            upp = random_matrix(ctx, k, n - k, rng)
+            basis = MatGF.from_rows(ctx, [
+                [int(c == pivots[i]) if c in pivots else upp.at(i, free.index(c)) for c in range(n)]
+                for i in range(k)
+            ])
+            want = tuple(minor(basis, range(1, k + 1), t) for t in all_tuples(n, k))
+            minors = _all_minors(upp.entries, k, n - k, q)
+            assert _read_minors(minors, _lifted_table(n, k, pivots), q) == want
 
 
 def test_ball_equations_worked(received_r1, received_r2):
