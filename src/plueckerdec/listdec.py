@@ -34,7 +34,7 @@ from typing import Callable, Iterator, Sequence
 from .errors import DecodeError
 from .gf import ExtElement, phi_inv
 from .matgf import (
-    MatGF, _all_minors, _echelon, _pack_row, _reduce, _slots, _unpack_row, kernel_basis, rank,
+    MatGF, _echelon, _pack_row, _reduce, _slots, _unpack_row, kernel_basis, rank,
     rref, solve_affine,
 )
 from .gabidulin import (
@@ -50,10 +50,9 @@ from .pluecker import (
     LinearForm,
     PlueckerVector,
     QuadraticRelation,
-    _lifted_table,
-    _read_minors,
     all_tuples,
     ball_equations,
+    lifted_coordinates,
     shuffle_relations,
     tau_count,
     tuple_rank,
@@ -72,14 +71,10 @@ def qualifying_tuples(n: int, k: int) -> tuple[IndexTuple, ...]:
 
 def pluecker_entry_formula(i: Sequence[int], a: MatGF) -> int:
     """Coordinate of the lifted codeword of `a` at a qualifying tuple."""
-    k = a.rows
-    n = k + a.cols
-    tt = tuple(i)
-    positions = qualifying_tuples(n, k)
-    if tt not in positions:
+    k, n, tt = a.rows, a.rows + a.cols, tuple(i)
+    if tt not in qualifying_tuples(n, k):
         raise DecodeError(f"tuple {tt} does not meet {{1..{k}}} in exactly {k - 1} positions")
-    spot = _lifted_table(n, k, tuple(range(k)))[tuple_rank(tt, n, k)]
-    return _read_minors(_all_minors(a.entries, k, a.cols, a.ctx.q), (spot,), a.ctx.q)[0]
+    return lifted_coordinates(a.entries, k, a.cols, a.ctx.q)[tuple_rank(tt, n, k)]
 
 
 @dataclass(frozen=True)
@@ -102,11 +97,10 @@ def build_block_code(code: GabidulinCode) -> BlockCodeView:
     """
     n, k, q, ell = code.n, code.k, code.q, code.ell
     positions = qualifying_tuples(n, k)
-    table = _lifted_table(n, k, tuple(range(k)))
-    spots = [table[tuple_rank(pos, n, k)] for pos in positions]
+    spots = [tuple_rank(pos, n, k) for pos in positions]
     enc, rho = _encoding_matrix(code), code.rho
-    rows = [_read_minors(_all_minors(enc.entries[i::rho], k, ell, q), spots, q) for i in range(rho)]
-    Gp = MatGF.from_rows(code.ext.base, rows)
+    coords = (lifted_coordinates(enc.entries[i::rho], k, ell, q) for i in range(rho))
+    Gp = MatGF.from_rows(code.ext.base, [[c[s] for s in spots] for c in coords])
     if rank(Gp) != code.rho:
         raise DecodeError("block code generator is rank deficient")
     Hp, _ = rref(kernel_basis(Gp))
@@ -155,8 +149,8 @@ def assemble_system(code: GabidulinCode, r: Subspace, e: int) -> EquationSystem:
 
 
 def _check_decode_args(code: GabidulinCode, r: Subspace, e: int) -> None:
-    if r.n != code.n:
-        raise DecodeError(f"received space lives in dimension {r.n}, code in {code.n}")
+    if (r.ctx, r.n) != (code.ext.base, code.n):  # entries over another field are not residues mod q
+        raise DecodeError(f"received space lives in F_{r.ctx.q}^{r.n}, code in F_{code.q}^{code.n}")
     if r.k != code.k:
         raise DecodeError(
             f"received spaces of dimension {r.k} are unsupported; this decoder "
@@ -235,12 +229,12 @@ def _minors_at(code: GabidulinCode, digits: int) -> tuple[tuple[int, ...], tuple
     """The codeword matrix A (the encoding matrix times the message
     coordinates) of the message whose F_q digits, least significant first,
     sit in the slots of the packed row `digits`, and the coordinates of its
-    lifting (the minors of A that `_lifted_table` names)."""
+    lifting (`lifted_coordinates`)."""
     k, ell, q, rho = code.k, code.ell, code.q, code.rho
     d = _unpack_row(digits, rho, q)
     total = sum(v * col for v, col in zip(d, _digit_columns(code)) if v)
     a = tuple(v % q for v in _unpack_row(total, k * ell, q, rho))
-    return a, _read_minors(_all_minors(a, k, ell, q), _lifted_table(code.n, k, tuple(range(k))), q)
+    return a, lifted_coordinates(a, k, ell, q)
 
 
 @lru_cache(maxsize=2**16)
@@ -271,15 +265,22 @@ def _form_check(forms: Sequence[LinearForm], nvars: int, q: int) -> Callable[[in
     """Whether packed coordinates (`PlueckerVector.packed`) satisfy every
     form, decided by one product (Kronecker substitution): form i sits
     reversed in slots 2*nvars*i onward, so slot 2*nvars*i + nvars - 1 of
-    the product is its dot product, and no slot exceeds nvars*(q-1)^2."""
-    table, size = _slots(q, nvars)[1], 2 * nvars * len(forms)
+    the product is its dot product, and no slot exceeds nvars*(q-1)^2.
+    Only those slots are read, through a byte table when they fit a byte."""
+    (w, table), step = _slots(q, nvars), 2 * nvars
+    size = step * len(forms) * w  # bytes of the product
     lhs = _pack_row([c for f in forms for c in f.coeffs[::-1] + (0,) * nvars], q, nvars)
     rhs = [f.rhs % q for f in forms]
-    dots = slice(nvars - 1, None, 2 * nvars)
     if table is not None:
-        want = bytes(rhs)
+        want, dots = bytes(rhs), slice(nvars - 1, None, step)
         return lambda x: (x * lhs).to_bytes(size, "little")[dots].translate(table) == want
-    return lambda x: [v % q for v in _unpack_row(x * lhs, size, q, nvars)[dots]] == rhs
+    starts = range((nvars - 1) * w, size, step * w)
+
+    def check(x: int) -> bool:
+        b = (x * lhs).to_bytes(size, "little")
+        return [int.from_bytes(b[i : i + w], "little") % q for i in starts] == rhs
+
+    return check
 
 
 def _odometer(base: int, rows: list[int], rho: int, q: int) -> Iterator[int]:

@@ -5,20 +5,23 @@ like the minors they label), ordered lexicographically.  A subspace embeds
 into projective space as the vector of its k x k basis minors; quadratic
 shuffle relations cut out the image, and linear forms obtained from the
 minor matrix of a change-of-basis inverse describe balls of even subspace
-radius around any subspace.  Every coordinate of a subspace, and every
-coefficient of its ball forms, is a signed minor of the free-column block
-U'' of its RREF basis: one bottom-up pass over all minors of U''
-(`_all_minors`) gives them all, read through a pattern keyed by the pivot
-columns (`_lifted_table`, `_ball_pattern`).
+radius around any subspace.  An RREF basis, pivots first, is the top of
+N(U'') = [[I_k, U''], [0, I]] with U'' its free-column block, and the
+inverse in the ball forms' Construction 4 is N(-U'') with rows permuted;
+so every coordinate and coefficient is zero or a signed minor of U''.  One
+rule (`_block_pattern`) says which, as patterns keyed by the pivot columns
+(`_lifted_table`, `_ball_pattern`); one reader (`_read_minors`) evaluates
+them on one bottom-up pass over all minors of U'' (`_all_minors`).
 """
 
 from __future__ import annotations
 
-import itertools
+from itertools import chain, combinations, product, starmap
+from operator import gt
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from math import comb
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import GrassmannError
 from .gf import FieldCtx
@@ -49,7 +52,7 @@ def all_tuples(n: int, k: int) -> tuple[IndexTuple, ...]:
     """All increasing k-tuples from {1..n} in lex order, at most ENUMERATION_CAP."""
     if 0 <= k <= n and comb(n, k) > ENUMERATION_CAP:
         raise GrassmannError(f"C({n},{k}) = {comb(n, k)} tuples exceed the enumeration cap")
-    return tuple(itertools.combinations(range(1, n + 1), k))
+    return tuple(combinations(range(1, n + 1), k))
 
 
 def tuple_rank(t: Sequence[int], n: int, k: int) -> int:
@@ -247,27 +250,18 @@ def construction4(u: Subspace) -> tuple[MatGF, MatGF]:
     pivot_cols = [p - 1 for p in pivots]
     free_cols = [j for j in range(n) if j not in set(pivot_cols)]
 
-    rows = u.basis.to_lists()
-    for f in free_cols:
-        lower = [0] * n
-        lower[f] = 1
-        rows.append(lower)
-    a = MatGF.from_rows(ctx, rows)
+    lower = [[int(j == f) for j in range(n)] for f in free_cols]
+    a = MatGF.from_rows(ctx, u.basis.to_lists() + lower)
 
-    # sigma(A) = A with columns reordered pivots-first: [[I_k, U''], [0, I]];
-    # its inverse is the same block shape with -U''.  Row j of that inverse
-    # becomes row order[j] of A^(-1).
-    order = pivot_cols + free_cols
-    neg_upp = [[-u.basis.at(i, j) % ctx.q for j in free_cols] for i in range(k)]
+    # sigma(A), A with its columns pivots first, is N(U'') = [[I_k, U''], [0, I]]
+    # and its inverse N(-U''); row j of N(-U'') is row c of A^(-1), with c the
+    # j-th of the pivot columns and then the free ones.
     inv_rows = [[0] * n for _ in range(n)]
-    for j in range(n):
-        target = inv_rows[order[j]]
-        target[j] = 1
+    for j, c in enumerate(pivot_cols + free_cols):
+        inv_rows[c][j] = 1
         if j < k:
-            for t in range(n - k):
-                target[k + t] = neg_upp[j][t]
-    a_inv = MatGF.from_rows(ctx, inv_rows)
-    return a, a_inv
+            inv_rows[c][k:] = [-u.basis.at(j, f) % ctx.q for f in free_cols]
+    return a, MatGF.from_rows(ctx, inv_rows)
 
 
 def phi_bar_columns(a: MatGF, cols: Sequence[Sequence[int]]) -> MatGF:
@@ -320,73 +314,87 @@ def ball_equations(r: Subspace, e: int) -> list[LinearForm]:
     return list(_ball_equations_cached(r, e))
 
 
-def _read_minors(minors: list[int], pattern: Sequence[int], q: int) -> tuple[int, ...]:
-    """The values `pattern` names in `minors`: i is minor i, ~i its negative,
-    len(minors) zero."""
+def _read_minors(
+    pattern: Sequence[int], entries: Sequence[int], k: int, m: int, q: int
+) -> tuple[int, ...]:
+    """The values `pattern` names among the minors of the k x m matrix with
+    these row-major entries, from one `_all_minors` pass: i is minor i in
+    `_minor_plan` order, ~i its negative, and the number of minors zero.
+    Only this module builds and reads patterns."""
+    if not pattern:
+        return ()
+    minors = _all_minors(entries, k, m, q)
     signed = minors + [0] + [-x % q for x in reversed(minors)]
     return tuple(map(signed.__getitem__, pattern))
 
 
-def _free_block_minors(
-    u: Subspace, pattern_at: Callable[[tuple[int, ...]], tuple[int, ...]]
-) -> tuple[int, ...]:
+def lifted_coordinates(entries: Sequence[int], k: int, ell: int, q: int) -> tuple[int, ...]:
+    """Every coordinate of the lifting [I_k | A] of the k x ell matrix A with
+    these row-major entries, in lex tuple order; the first one is 1."""
+    return _read_minors(_lifted_table(k + ell, k, tuple(range(k))), entries, k, ell, q)
+
+
+def _free_block_minors(u: Subspace, pattern_at: Callable[..., tuple[int, ...]]) -> tuple[int, ...]:
     """The values that `pattern_at(pivots)` names among the minors of U'',
     for the RREF basis of u with these 0-based pivot columns and U'' its
-    free-column block.  The pattern comes first: its lookup checks the caps
-    that bound the minors planned after it."""
-    k, n, q = u.k, u.n, u.ctx.q
+    free-column block."""
     rows = u.basis.to_lists()
     pivots = tuple(row.index(1) for row in rows)  # the basis is RREF
-    pattern = pattern_at(pivots)
-    if not pattern:
-        return ()
-    upp = [row[j] for row in rows for j in range(n) if j not in pivots]
-    return _read_minors(_all_minors(upp, k, n - k, q), pattern, q)
+    upp = [row[j] for row in rows for j in range(u.n) if j not in pivots]
+    return _read_minors(pattern_at(pivots), upp, u.k, u.n - u.k, u.ctx.q)
+
+
+def _block_pattern(k: int, m: int, pairs: Iterable, negate: bool = False) -> tuple[int, ...]:
+    """The minor of N(X) = [[I_k, X], [0, I_m]] on each pair of 0-based row
+    and column lists, either in any order, as a `_read_minors` pattern over
+    the minors of the k x m block X, or of -X when `negate`.
+
+    Column c < k is the unit vector at row c, and row k + r the unit vector
+    at column k + r, so the minor is zero unless each such column has its
+    row and each such row its column.  Sorting rows and columns, then moving
+    those columns with their rows to the front and those rows with their
+    columns to the back, leaves [[I, *, *], [0, X[S, T], *], [0, 0, I]]: the
+    minor of X on the other rows S < k and columns k + T, negated by the
+    parity of both sorts, of the kept rows before each such column, of the
+    kept columns after each such row, and, for -X, of |S|.
+    """
+    index = _minor_plan(k, m)[0]
+    zero = len(index)
+    out = []
+    for rows, cols in pairs:
+        units = [c for c in cols if c < k]
+        fixed = [r for r in rows if r >= k]
+        rs, cs = set(rows), set(cols)
+        if not rs.issuperset(units) or not cs.issuperset(fixed):
+            out.append(zero)
+            continue
+        s, t = sorted(rs.difference(units, fixed)), sorted(cs.difference(units, fixed))
+        swaps = chain(combinations(rows, 2), combinations(cols, 2), product(units, s))
+        parity = negate * len(s) + sum(starmap(gt, chain(swaps, product(t, fixed))))
+        minor = index[tuple(s), tuple([c - k for c in t])]
+        out.append(~minor if parity % 2 else minor)
+    return tuple(out)
 
 
 @lru_cache(maxsize=4096)
 def _ball_pattern(n: int, k: int, e: int, pivots: tuple[int, ...]) -> tuple[int, ...]:
-    """The coefficients of every ball form, flat and form by form, as
-    `_read_minors` patterns over the minors of U'', for a received space
-    with these 0-based pivot columns and U'' its free-column block.
-
-    A^(-1) from construction4 is P [[I_k, -U''], [0, I_(n-k)]] with the
-    permutation P moving block row j to pivot column p_j and block row k+t
-    to free column f_t.  A row tuple R thus picks block rows J (pivots) and
-    k+T_R (free ones), and a column tuple C the columns C1 <= k and k+T_C.
-    The minor on (R, C) is zero unless C1 lies in J and T_R in T_C: a unit
-    column or row would be empty.  Moving C1's unit rows and columns to the
-    front and T_R's to the back leaves it block triangular, so it is the
-    minor of -U'' on (J - C1, T_C - T_R), signed by the parity of sorting R
-    into block rows and of those two moves; that minor is (-1)^size times
-    the minor of U''.
+    """The coefficients of every ball form, flat and form by form, as a
+    `_read_minors` pattern over the minors of U'', for a received space with
+    these 0-based pivot columns and U'' its free-column block.  A^(-1) from
+    construction4 is N(-U'') with block row j moved to pivot column p_j and
+    block row k + t to free column f_t, so the coefficient of row tuple R in
+    the form of a forbidden tuple is the minor of N(-U'') on R's block rows
+    and the forbidden tuple's columns.
     """
-    forbidden_tuples = ball_forbidden_tuples(n, k, e)  # capped, so the plan below is too
+    forbidden_tuples = ball_forbidden_tuples(n, k, e)  # capped, so the minor plan is too
     size = len(forbidden_tuples) * comb(n, k)  # one coefficient per form and coordinate
     if size > ENUMERATION_CAP:
         raise GrassmannError(f"{size} ball-form coefficients exceed the enumeration cap")
     order = sorted(range(n), key=lambda c: c not in pivots)  # pivots first, then free
     block_row = {c: b for b, c in enumerate(order)}
-    index = _minor_plan(k, n - k)[0]
-    zero = len(index)
-    out = []
-    for forbidden in forbidden_tuples:
-        c1 = {x - 1 for x in forbidden if x <= k}
-        tc = [x - 1 - k for x in forbidden if x > k]
-        for rows in _zero_based_tuples(n, k):
-            br = [block_row[x] for x in rows]
-            j = sorted(x for x in br if x < k)
-            tr = {x - k for x in br if x >= k}
-            if not c1 <= set(j) or not tr <= set(tc):
-                out.append(zero)
-                continue
-            s = tuple(x for x in j if x not in c1)
-            parity = sum(a > b for i, a in enumerate(br) for b in br[i + 1 :]) + len(s)
-            parity += sum(a < b for a in s for b in c1)
-            parity += sum(a < b for a in tr for b in tc if b not in tr)
-            minor = index[s, tuple(t for t in tc if t not in tr)]
-            out.append(~minor if parity % 2 else minor)
-    return tuple(out)
+    tuples, cols = _zero_based_tuples(n, k), [[x - 1 for x in f] for f in forbidden_tuples]
+    pairs = (([block_row[x] for x in t], c) for c in cols for t in tuples)
+    return _block_pattern(k, n - k, pairs, negate=True)
 
 
 @lru_cache(maxsize=4096)
@@ -403,30 +411,14 @@ def _lifted_table(n: int, k: int, pivots: tuple[int, ...]) -> tuple[int, ...]:
     at these 0-based pivot columns and a k x (n-k) block U'' in the others,
     in lex tuple order, as a `_read_minors` pattern over the minors of U''.
     An RREF basis is such a matrix; the lifting [I_k | A] is the one with
-    pivots (0, ..., k-1) and U'' = A.
-
-    Moving the pivots to the front turns the matrix into [I_k | U''] and a
-    tuple into block columns: the identity columns P and the columns k+T.
-    Those drop the rows S of {1..k} outside P; moving the rows P to the
-    front leaves the block triangular [[I, *], [0, U''[S, T]]], so the
-    coordinate is the minor on (S, T), negated when the pairs s in S, p in P
-    with s < p and the inversions of the tuple's block columns are odd in
-    number.
+    pivots (0, ..., k-1) and U'' = A.  Moving the pivots to the front makes
+    it the top k rows of N(U''), so a coordinate is the minor of N(U'') on
+    those rows and the tuple's block columns.
     """
-    tuples = _zero_based_tuples(n, k)  # capped, so the plan below is too
+    tuples = _zero_based_tuples(n, k)  # capped before `_block_pattern` plans the minors
     order = sorted(range(n), key=lambda c: c not in pivots)  # pivots first, then free
     block = {c: b for b, c in enumerate(order)}
-    index = _minor_plan(k, n - k)[0]
-    out = []
-    for t in tuples:
-        cols = [block[x] for x in t]
-        kept = [x for x in cols if x < k]  # ascending, as the pivots keep their order
-        dropped = tuple(s for s in range(k) if s not in kept)
-        minor = index[dropped, tuple(x - k for x in cols if x >= k)]
-        parity = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1 :])
-        parity += sum(s < p for s in dropped for p in kept)
-        out.append(~minor if parity % 2 else minor)
-    return tuple(out)
+    return _block_pattern(k, n - k, ((range(k), [block[x] for x in t]) for t in tuples))
 
 
 def equidistant_lift(r: Subspace, a: MatGF) -> MatGF:

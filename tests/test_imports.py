@@ -56,8 +56,11 @@ def test_code_table_has_one_builder():
 
 def test_coordinates_have_one_minor_kernel():
     """In `pluecker` only the reference `phi_bar_columns` takes single minors
-    (`_det_submatrix`); `embed` and the ball forms read every minor of the
-    free-column block through one helper, the only user of `_all_minors`."""
+    (`_det_submatrix`); one rule (`_block_pattern`, the only user of
+    `_minor_plan`) signs and places every minor of the patterns, and one
+    reader (`_read_minors`, the only user of `_all_minors`) evaluates them.
+    `listdec` reads lifted coordinates through `lifted_coordinates` and
+    names no pattern internal."""
     pluecker = ast.parse((SRC / "pluecker.py").read_text())
     users: dict[str, set[str]] = {}
     for fn in pluecker.body:
@@ -66,5 +69,16 @@ def test_coordinates_have_one_minor_kernel():
                 if isinstance(n, ast.Name):
                     users.setdefault(n.id, set()).add(fn.name)
     assert users["_det_submatrix"] == {"phi_bar_columns"}
-    assert users["_all_minors"] == {"_free_block_minors"}
+    assert users["_minor_plan"] == {"_block_pattern"}
+    assert users["_all_minors"] == {"_read_minors"}
+    assert users["_block_pattern"] == {"_lifted_table", "_ball_pattern"}
+    assert users["_read_minors"] == {"lifted_coordinates", "_free_block_minors"}
     assert users["_free_block_minors"] == {"embed", "_ball_equations_cached"}
+    listdec = ast.parse((SRC / "listdec.py").read_text())
+    named = {n.id for n in ast.walk(listdec) if isinstance(n, ast.Name)} | {
+        alias.asname or alias.name
+        for node in ast.walk(listdec) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not named & {"_all_minors", "_minor_plan", "_read_minors", "_lifted_table"}
+    assert "lifted_coordinates" in named

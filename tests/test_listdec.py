@@ -363,6 +363,19 @@ def test_form_check_extreme_slots():
         ]
         expected = all(f.holds(x, q) for f in forms)
         assert _form_check(forms, nvars, q)(_pack_row(x, q, nvars)) == expected
+    # many forms in wide slots: two and three bytes per slot over C(8, 4) and
+    # C(7, 3) coordinates; every form holds, or all but one
+    for q, nvars in [(3, 70), (13, 35), (37, 70)]:
+        for trial in range(40):
+            x = [rng.randrange(q) for _ in range(nvars)]
+            coeffs = [tuple(rng.randrange(q) for _ in range(nvars)) for _ in range(25)]
+            rhs = [sum(c * v for c, v in zip(f, x)) for f in coeffs]
+            if trial % 2:
+                rhs[rng.randrange(len(rhs))] += rng.randrange(1, q)
+            forms = [LinearForm(f, b % q) for f, b in zip(coeffs, rhs)]
+            expected = all(f.holds(x, q) for f in forms)
+            assert expected == (trial % 2 == 0)
+            assert _form_check(forms, nvars, q)(_pack_row(x, q, nvars)) == expected
 
 
 @pytest.mark.parametrize("ps", SMALL_PARAMETER_SETS, ids=lambda ps: ps.label())
@@ -430,6 +443,21 @@ def test_decode_rejects_wrong_dimension(demo_code):
     tall = Subspace(MatGF.from_rows(F2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]))
     with pytest.raises(DecodeError):
         decode_list(demo_code, tall, 1)
+
+
+@pytest.mark.parametrize("code_q,space_q", [(2, 3), (5, 2)])
+def test_decode_rejects_another_prime_field(code_q, space_q):
+    """A received space over another prime field is an error from every
+    strategy and from `system_report`; `paper` and `reduced` once listed
+    codewords for it, as if its entries were residues mod the code's q."""
+    code = make_code(code_q, 4, 2, 2)
+    r = random_subspace(FieldCtx(space_q), 4, 2, random.Random(space_q))
+    for e in range(code.k + 1):
+        for strategy in ("paper", "reduced", "oracle"):
+            with pytest.raises(DecodeError, match=f"F_{space_q}"):
+                decode_list(code, r, e, strategy)
+        with pytest.raises(DecodeError, match=f"F_{space_q}"):
+            system_report(code, r, e)
 
 
 def test_decode_rejects_bad_radius_and_strategy(demo_code, received_r1):

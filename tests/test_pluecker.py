@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from plueckerdec.errors import GrassmannError
 from plueckerdec.gf import FieldCtx
-from plueckerdec.matgf import MatGF, _all_minors, minor, random_invertible, random_matrix, rank
+from plueckerdec.matgf import MatGF, minor, random_invertible, random_matrix, rank
 from plueckerdec.gabidulin import (
     Subspace,
     encode,
@@ -324,6 +324,24 @@ def test_ball_equations_match_construction4_random(q):
                 assert [f.coeffs for f in ball_equations(r, e)] == _ball_reference(r, e)
 
 
+@pytest.mark.parametrize("q", [5, 13])
+def test_ball_equations_match_construction4_any_pivots(q):
+    """Received spaces with random pivot sets at n = 7 and 8, beyond the
+    exhaustive test's n <= 6; `random_subspace` mostly pivots on the first
+    k columns."""
+    rng = random.Random(q)
+    ctx = FieldCtx(q)
+    for n, k in [(7, 3), (8, 2), (8, 4), (8, 5)]:
+        for _ in range(3):
+            pivots = sorted(rng.sample(range(n), k))
+            r = Subspace(MatGF.from_rows(ctx, [
+                [int(c == p) if c in pivots else rng.randrange(q) * (c > p) for c in range(n)]
+                for p in pivots
+            ]))
+            for e in range(k + 1):
+                assert [f.coeffs for f in ball_equations(r, e)] == _ball_reference(r, e)
+
+
 @pytest.mark.parametrize("q", [2, 5, 13])
 def test_lifted_table_matches_embed(q):
     """The table `embed` reads: every coordinate of the matrix with unit
@@ -341,8 +359,7 @@ def test_lifted_table_matches_embed(q):
                 for i in range(k)
             ])
             want = tuple(minor(basis, range(1, k + 1), t) for t in all_tuples(n, k))
-            minors = _all_minors(upp.entries, k, n - k, q)
-            assert _read_minors(minors, _lifted_table(n, k, pivots), q) == want
+            assert _read_minors(_lifted_table(n, k, pivots), upp.entries, k, n - k, q) == want
 
 
 def test_ball_equations_worked(received_r1, received_r2):
