@@ -225,38 +225,38 @@ def _digit_columns(code: GabidulinCode) -> tuple[int, ...]:
     return tuple(_pack_row(enc.entries[p::rho], code.q, rho) for p in _digit_order(code))
 
 
-def _minors_at(code: GabidulinCode, digits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The codeword matrix A (the encoding matrix times the message
-    coordinates) of the message whose F_q digits, least significant first,
-    sit in the slots of the packed row `digits`, and the coordinates of its
-    lifting (`lifted_coordinates`)."""
+def _matrix_at(code: GabidulinCode, digits: int) -> tuple[int, ...]:
+    """The codeword matrix A, row-major: the encoding matrix times the
+    message coordinates of the message whose F_q digits, least significant
+    first, sit in the slots of the packed row `digits`."""
     k, ell, q, rho = code.k, code.ell, code.q, code.rho
     d = _unpack_row(digits, rho, q)
     total = sum(v * col for v, col in zip(d, _digit_columns(code)) if v)
-    a = tuple(v % q for v in _unpack_row(total, k * ell, q, rho))
-    return a, lifted_coordinates(a, k, ell, q)
+    return tuple(v % q for v in _unpack_row(total, k * ell, q, rho))
 
 
 @lru_cache(maxsize=2**16)
 def _screen_at(code: GabidulinCode, digits: int) -> int:
     """Packed Pluecker vector (`PlueckerVector.packed`) of the lifted
-    codeword of the message with these packed digits (`_minors_at`);
-    memoized, as candidates recur."""
-    coords = _minors_at(code, digits)[1]
+    codeword of the message with these packed digits, read off the minors
+    of its `_matrix_at` matrix (`lifted_coordinates`): the only place a
+    candidate's coordinates are computed; memoized, as candidates recur."""
+    coords = lifted_coordinates(_matrix_at(code, digits), code.k, code.ell, code.q)
     return _pack_row(coords, code.q, len(coords))
 
 
 @lru_cache(maxsize=2**16)
 def _entry_at(code: GabidulinCode, digits: int) -> DecodeEntry:
     """Entry of the message with these packed digits, built from its
-    `_minors_at` matrix and coordinates; memoized, and called for the code
-    table and for `paper`'s listed candidates only."""
-    ext, ell = code.ext, code.ell
-    a, coords = _minors_at(code, digits)
-    d = _unpack_row(digits, code.rho, code.q)
+    `_matrix_at` matrix and the coordinates its screen (`_screen_at`)
+    packs; memoized, and called for the code table and for `paper`'s
+    listed candidates only."""
+    ext, ell, q, nvars = code.ext, code.ell, code.q, comb(code.n, code.k)
+    coords = tuple(_unpack_row(_screen_at(code, digits), nvars, q, nvars))
+    d = _unpack_row(digits, code.rho, q)
     x = tuple(d[p] for p in _digit_order(code))
     msg = tuple(ExtElement(ext, x[i : i + ell]) for i in range(0, code.rho, ell))
-    mat = MatGF(ext.base, code.k, ell, a)
+    mat = MatGF(ext.base, code.k, ell, _matrix_at(code, digits))
     cw = RankCodeword(tuple(phi_inv(ext, mat.row_list(i)) for i in range(code.k)), mat)
     return DecodeEntry(msg, cw, lift(cw), PlueckerVector(ext.base, code.n, code.k, coords))
 

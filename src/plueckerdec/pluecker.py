@@ -170,18 +170,14 @@ class QuadraticRelation:
     terms: tuple[tuple[IndexTuple, IndexTuple, int], ...]
 
     def evaluate(self, coords: Sequence[int], q: int) -> int:
-        total = 0
-        for ia, ib, c in _indexed_terms(self):
-            total += c * coords[ia] * coords[ib]
-        return total % q
+        return sum(c * coords[ia] * coords[ib] for ia, ib, c in self.indexed_terms) % q
 
-
-@lru_cache(maxsize=None)
-def _indexed_terms(rel: "QuadraticRelation") -> tuple[tuple[int, int, int], ...]:
-    return tuple(
-        (tuple_rank(a, rel.n, rel.k), tuple_rank(b, rel.n, rel.k), c)
-        for a, b, c in rel.terms
-    )
+    @cached_property
+    def indexed_terms(self) -> tuple[tuple[int, int, int], ...]:
+        """The terms with each index tuple replaced by its coordinate
+        position (`tuple_rank`), computed once."""
+        n, k = self.n, self.k
+        return tuple((tuple_rank(a, n, k), tuple_rank(b, n, k), c) for a, b, c in self.terms)
 
 
 @lru_cache(maxsize=None)
@@ -307,11 +303,14 @@ def ball_equations(r: Subspace, e: int) -> list[LinearForm]:
     subspace distance from r is at most 2e.  One form per forbidden tuple,
     with coefficients the matching column of the minor matrix of A^(-1)
     from construction4, read off the minors of one k x (n-k) block (see
-    `_ball_pattern`).  Empty for e = k.
+    `_ball_pattern`).  Empty for e = k.  The forms belong to r, so they are
+    computed on every call; only their pattern, per pivot set, recurs.
     """
-    if r.k == 0:
+    n, k = r.n, r.k
+    if k == 0:
         raise GrassmannError("a 0-dimensional space has no Pluecker embedding")
-    return list(_ball_equations_cached(r, e))
+    coeffs, nvars = _free_block_minors(r, partial(_ball_pattern, n, k, e)), comb(n, k)
+    return [LinearForm(coeffs[i : i + nvars], 0) for i in range(0, len(coeffs), nvars)]
 
 
 def _read_minors(
@@ -395,14 +394,6 @@ def _ball_pattern(n: int, k: int, e: int, pivots: tuple[int, ...]) -> tuple[int,
     tuples, cols = _zero_based_tuples(n, k), [[x - 1 for x in f] for f in forbidden_tuples]
     pairs = (([block_row[x] for x in t], c) for c in cols for t in tuples)
     return _block_pattern(k, n - k, pairs, negate=True)
-
-
-@lru_cache(maxsize=4096)
-def _ball_equations_cached(r: Subspace, e: int) -> tuple[LinearForm, ...]:
-    n, k = r.n, r.k
-    coeffs = _free_block_minors(r, partial(_ball_pattern, n, k, e))
-    nvars = comb(n, k)
-    return tuple(LinearForm(coeffs[i : i + nvars], 0) for i in range(0, len(coeffs), nvars))
 
 
 @lru_cache(maxsize=4096)

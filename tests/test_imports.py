@@ -73,7 +73,7 @@ def test_coordinates_have_one_minor_kernel():
     assert users["_all_minors"] == {"_read_minors"}
     assert users["_block_pattern"] == {"_lifted_table", "_ball_pattern"}
     assert users["_read_minors"] == {"lifted_coordinates", "_free_block_minors"}
-    assert users["_free_block_minors"] == {"embed", "_ball_equations_cached"}
+    assert users["_free_block_minors"] == {"embed", "ball_equations"}
     listdec = ast.parse((SRC / "listdec.py").read_text())
     named = {n.id for n in ast.walk(listdec) if isinstance(n, ast.Name)} | {
         alias.asname or alias.name
@@ -82,3 +82,37 @@ def test_coordinates_have_one_minor_kernel():
     }
     assert not named & {"_all_minors", "_minor_plan", "_read_minors", "_lifted_table"}
     assert "lifted_coordinates" in named
+
+
+
+def subspace_keyed_memos(source: str) -> list[str]:
+    """Functions decorated with `lru_cache` that take a `Subspace` parameter."""
+    def is_lru_cache(node: ast.expr) -> bool:
+        target = node.func if isinstance(node, ast.Call) else node
+        return ast.unparse(target) in {"lru_cache", "functools.lru_cache"}
+
+    return [
+        fn.name
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, ast.FunctionDef) and any(map(is_lru_cache, fn.decorator_list))
+        for arg in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        if arg.annotation is not None and "Subspace" in ast.unparse(arg.annotation)
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_memo_is_keyed_by_a_received_space(path):
+    """Patterns recur per pivot set and screens per candidate, but a received
+    space seldom comes twice: no `lru_cache` takes a `Subspace`, so none
+    holds forms or minors per space."""
+    assert subspace_keyed_memos(path.read_text()) == []
+
+
+def test_subspace_keyed_memo_is_reported():
+    source = (
+        "@lru_cache(maxsize=8)\ndef f(r: Subspace, e: int): pass\n"
+        "@functools.lru_cache\ndef g(*, u: 'Subspace'): pass\n"
+        "@lru_cache\ndef h(n: int): pass\n"
+        "def i(r: Subspace): pass\n"
+    )
+    assert subspace_keyed_memos(source) == ["f", "g"]

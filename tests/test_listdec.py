@@ -37,7 +37,7 @@ from plueckerdec.listdec import (
     system_report,
 )
 from plueckerdec.params import SMALL_PARAMETER_SETS
-from plueckerdec.pluecker import LinearForm, embed, tuple_rank
+from plueckerdec.pluecker import LinearForm, embed, lifted_coordinates, tuple_rank
 
 F2 = FieldCtx(2)
 
@@ -580,3 +580,28 @@ def test_paper_builds_entries_only_for_the_list():
             assert _entry_at.cache_info().misses == len(result.entries)
             if e == 1:
                 assert _screen_at.cache_info().misses == result.stats["candidates_enumerated"]
+
+
+def test_paper_reads_each_candidates_minors_once(monkeypatch):
+    """`_screen_at` is the only place a candidate's coordinates come from:
+    on a warm code, a cold decode reads the minors once per screened
+    candidate, listed ones included, and at e = k once per listed one."""
+    code = make_code(3, 6, 3, 2)
+    rng = random.Random(23)
+    received = [random_subspace(code.ext.base, code.n, code.k, rng), _corrupted(code, rng)]
+    decode_list(code, received[0], 1)  # builds the block code and solver layout
+    reads = []
+
+    def counted(*args):
+        reads.append(args)
+        return lifted_coordinates(*args)
+
+    monkeypatch.setattr("plueckerdec.listdec.lifted_coordinates", counted)
+    for r in received:
+        for e in range(code.k + 1):
+            _screen_at.cache_clear()
+            _entry_at.cache_clear()
+            reads.clear()
+            result = decode_list(code, r, e)
+            assert len(reads) == _screen_at.cache_info().misses
+            assert len(reads) >= len(result.entries)

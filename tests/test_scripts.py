@@ -9,10 +9,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize(
-    "argv", [["worked_examples.py"], ["channel_sweep.py", "--trials", "1"]], ids=lambda a: a[0]
+    "argv",
+    [["worked_examples.py"], ["channel_sweep.py", "--trials", "1"], ["memo_report.py", "--rounds", "1"]],
+    ids=lambda a: a[0],
 )
 def test_script_runs(argv):
-    """The shipped scripts call the ball forms and `paper` end to end."""
+    """The shipped scripts call the ball forms and the decoders end to end."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
