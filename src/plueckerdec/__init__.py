@@ -10,10 +10,10 @@ from .errors import (
     MatrixError,
 )
 from .gf import (
-    DEFAULT_MODULI,
     ExtElement,
     ExtFieldCtx,
     FieldCtx,
+    default_modulus,
     ext_field,
     frobenius,
     lin_independent_over_base,

@@ -16,7 +16,8 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import CodeError
-from .gf import (
+from .gf import (  # listdec and pluecker import ENUMERATION_CAP from here
+    ENUMERATION_CAP,
     ExtElement,
     ExtFieldCtx,
     FieldCtx,
@@ -27,8 +28,6 @@ from .gf import (
 )
 # vstack stays importable here: perfbench/spans.py wraps gabidulin.vstack
 from .matgf import MatGF, _echelon, random_matrix, rank, rref, vstack  # noqa: F401
-
-ENUMERATION_CAP = 2**20
 
 
 @dataclass(frozen=True)
@@ -211,10 +210,9 @@ def lift(cw: RankCodeword | MatGF) -> Subspace:
     """Row space of [I_k | A]; the result is already in RREF."""
     mat = cw.mat if isinstance(cw, RankCodeword) else cw
     k = mat.rows
-    rows = [
-        [1 if i == j else 0 for j in range(k)] + mat.row_list(i) for i in range(k)
-    ]
-    return _trusted_subspace(MatGF.from_rows(mat.ctx, rows))
+    rows = [[1 if i == j else 0 for j in range(k)] + mat.row_list(i) for i in range(k)]
+    entries = tuple(x for row in rows for x in row)  # built with its shape: k = 0 keeps n
+    return _trusted_subspace(MatGF(mat.ctx, k, k + mat.cols, entries))
 
 
 def subspace_distance(u: Subspace, v: Subspace) -> int:
@@ -269,18 +267,18 @@ def enumerate_grassmannian(ctx: FieldCtx, n: int, k: int) -> Iterator[Subspace]:
     for pivots in itertools.combinations(range(n), k):
         pivot_set = set(pivots)
         free_cells = [
-            (i, j)
+            i * n + j
             for i in range(k)
             for j in range(n)
             if j > pivots[i] and j not in pivot_set
         ]
         for values in itertools.product(range(q), repeat=len(free_cells)):
-            rows = [[0] * n for _ in range(k)]
+            entries = [0] * (k * n)  # built with its shape: k = 0 keeps n
             for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, j), v in zip(free_cells, values):
-                rows[i][j] = v
-            yield _trusted_subspace(MatGF.from_rows(ctx, rows))
+                entries[i * n + p] = 1
+            for c, v in zip(free_cells, values):
+                entries[c] = v
+            yield _trusted_subspace(MatGF(ctx, k, n, tuple(entries)))
 
 
 def random_subspace(ctx: FieldCtx, n: int, k: int, rng) -> Subspace:

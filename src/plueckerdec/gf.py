@@ -7,56 +7,40 @@ degree l.  Polynomials are stored as coefficient tuples, lowest degree
 first: x^2 + x + 1 <-> (1, 1, 1).
 
 The coordinate map between F_{q^l} and F_q^l is `phi` / `phi_inv`;
-`frobenius` raises elements to q-th powers.  A built-in table of default
-moduli covers q in {2, 3, 5} up to degree 8; user-supplied moduli
-override it.
+`frobenius` raises elements to q-th powers and `inverse` to the power
+q^l - 2.  Without a user-supplied modulus, `default_modulus` finds the
+first monic irreducible of degree l, for any field of at most
+ENUMERATION_CAP elements.  Primality is Miller-Rabin, exact below psi_13.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import FieldError
 
-# Smallest monic irreducible polynomial of each degree, in counting order
-# of the coefficient vector.  (2, 2) is x^2 + x + 1.
-DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
-    (2, 1): (0, 1),
-    (2, 2): (1, 1, 1),
-    (2, 3): (1, 1, 0, 1),
-    (2, 4): (1, 1, 0, 0, 1),
-    (2, 5): (1, 0, 1, 0, 0, 1),
-    (2, 6): (1, 1, 0, 0, 0, 0, 1),
-    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
-    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
-    (3, 1): (0, 1),
-    (3, 2): (1, 0, 1),
-    (3, 3): (1, 2, 0, 1),
-    (3, 4): (2, 1, 0, 0, 1),
-    (3, 5): (1, 2, 0, 0, 0, 1),
-    (3, 6): (2, 1, 0, 0, 0, 0, 1),
-    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1),
-    (3, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1),
-    (5, 1): (0, 1),
-    (5, 2): (2, 0, 1),
-    (5, 3): (1, 1, 0, 1),
-    (5, 4): (2, 0, 0, 0, 1),
-    (5, 5): (1, 4, 0, 0, 0, 1),
-    (5, 6): (2, 1, 0, 0, 0, 0, 1),
-    (5, 7): (1, 1, 0, 0, 0, 0, 0, 1),
-    (5, 8): (2, 0, 0, 0, 0, 0, 0, 0, 1),
-}
+# Bounds every enumeration: codewords, candidates, index tuples, moduli.
+ENUMERATION_CAP = 2**20
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)  # the first 13 primes
+_PSI13 = 3317044064679887385961981
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Miller-Rabin to the first 13 prime bases, exact for every n below psi_13
+    (Sorenson and Webster, Math. Comp. 2017); larger n raise FieldError."""
+    if n <= _MR_BASES[-1]:
+        return n in _MR_BASES
+    if n >= _PSI13:
+        raise FieldError(f"primality is decided only below psi_13 = {_PSI13}, got {n}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:  # a witness: a^d != 1 and no a^(d 2^i), i < s, is -1
+        x = pow(a, d, n)
+        if x != 1 and n - 1 not in (pow(x, 1 << i, n) for i in range(s)):
             return False
-        d += 1
     return True
 
 
@@ -125,36 +109,13 @@ def _poly_mod(a: Sequence[int], m: Sequence[int], q: int) -> list[int]:
             r[shift + i] = (r[shift + i] - c * mi) % q
 
 
-def _poly_ext_gcd(
-    a: Sequence[int], b: Sequence[int], q: int
-) -> tuple[list[int], list[int]]:
-    """Return (g, s) with g = gcd(a, b) monic and s*a = g mod b."""
-    inv = lambda x: pow(x, q - 2, q)
-    r0, r1 = _poly_trim(list(a)), _poly_trim(list(b))
-    s0, s1 = [1], []
-    while r1:
-        # long division r0 = qt * r1 + rem
-        rem = list(r0)
-        qt = [0] * max(len(rem) - len(r1) + 1, 1)
-        lead_inv = inv(r1[-1])
-        while len(rem) >= len(r1) and rem:
-            c = (rem[-1] * lead_inv) % q
-            shift = len(rem) - len(r1)
-            qt[shift] = c
-            for i, ri in enumerate(r1):
-                rem[shift + i] = (rem[shift + i] - c * ri) % q
-            _poly_trim(rem)
-        r0, r1 = r1, rem
-        qs = _poly_mul(qt, s1, q)
-        new_s = [( (s0[i] if i < len(s0) else 0) - (qs[i] if i < len(qs) else 0) ) % q
-                 for i in range(max(len(s0), len(qs), 1))]
-        s0, s1 = s1, _poly_trim(new_s)
-    # make gcd monic
-    if r0:
-        c = inv(r0[-1])
-        r0 = [(x * c) % q for x in r0]
-        s0 = [(x * c) % q for x in s0]
-    return r0, s0
+def _poly_gcd(a: list[int], b: list[int], q: int) -> list[int]:
+    """gcd of the monic a and the trimmed b, made monic, by Euclid on `_poly_mod`."""
+    while b:
+        lead_inv = pow(b[-1], q - 2, q)
+        b = [c * lead_inv % q for c in b]
+        a, b = b, _poly_mod(a, b, q)
+    return a
 
 
 def _poly_powmod(a: Sequence[int], e: int, m: Sequence[int], q: int) -> list[int]:
@@ -181,7 +142,7 @@ def is_irreducible(coeffs: Sequence[int], q: int) -> bool:
     for i in range(1, ell + 1):
         h = _poly_powmod(h, q, p, q) + [0, 0]  # x^(q^i) mod p, padded to degree 1
         diff = _poly_mod([h[0], (h[1] - 1) % q, *h[2:]], p, q)  # x^(q^i) - x mod p
-        if i in maximal and _poly_ext_gcd(diff, p, q)[0] != [1]:
+        if i in maximal and _poly_gcd(p, diff, q) != [1]:
             return False
     return not diff
 
@@ -309,12 +270,7 @@ class ExtElement:
     def inverse(self) -> "ExtElement":
         if self.is_zero():
             raise FieldError("inverse of zero")
-        q = self.ctx.q
-        g, s = _poly_ext_gcd(self.coeffs, self.ctx.modulus, q)
-        if g != [1]:
-            raise FieldError("modulus is not irreducible")  # unreachable
-        s += [0] * (self.ctx.ell - len(s))
-        return ExtElement(self.ctx, tuple(s[: self.ctx.ell]))
+        return self ** (self.ctx.order - 2)  # the units form a group of order q^l - 1
 
     def __pow__(self, n: int) -> "ExtElement":
         base = self.inverse() if n < 0 else self
@@ -343,16 +299,25 @@ def format_element(e: ExtElement) -> str:
     return "+".join(terms) if terms else "0"
 
 
+@lru_cache(maxsize=None)
+def default_modulus(q: int, ell: int) -> tuple[int, ...]:
+    """The first monic irreducible polynomial of degree ell over F_q in
+    counting order of its coefficients, lowest degree fastest: (2, 2) gives
+    x^2 + x + 1.  Only for fields of at most ENUMERATION_CAP elements."""
+    FieldCtx(q)
+    # q >= 2, so ell >= bit_length(cap) is over the cap without forming q^ell
+    if not 1 <= ell < ENUMERATION_CAP.bit_length() or q**ell > ENUMERATION_CAP:
+        raise FieldError(f"no default modulus for q={q}, ell={ell}: needs ell >= 1 and "
+                         f"q^ell <= {ENUMERATION_CAP}; supply one explicitly")
+    monic = ((*(i // q**j % q for j in range(ell)), 1) for i in range(q**ell))
+    return next(p for p in monic if is_irreducible(p, q))
+
+
 def ext_field(q: int, ell: int, modulus: Sequence[int] | None = None) -> ExtFieldCtx:
-    """Build F_{q^l}, using the built-in modulus table when none is given."""
+    """Build F_{q^l}, with `default_modulus(q, l)` when no modulus is given."""
     base = FieldCtx(q)
     if modulus is None:
-        try:
-            modulus = DEFAULT_MODULI[(q, ell)]
-        except KeyError:
-            raise FieldError(
-                f"no default modulus for q={q}, ell={ell}; supply one explicitly"
-            ) from None
+        modulus = default_modulus(q, ell)
     return ExtFieldCtx(base, ell, tuple(c % q for c in modulus))
 
 
@@ -366,20 +331,14 @@ def phi(e: ExtElement) -> tuple[int, ...]:
 
 
 def phi_inv(ctx: ExtFieldCtx, vec: Sequence[int]) -> ExtElement:
-    if len(vec) != ctx.ell:
-        raise FieldError(f"expected length {ctx.ell}, got {len(vec)}")
     return ctx.element(vec)
 
 
 def frobenius(e: ExtElement, i: int) -> ExtElement:
-    """e raised to the power q^i, by repeated q-th powering."""
+    """e raised to the power q^i; q^l is the identity on F_{q^l}."""
     if i < 0:
         raise FieldError(f"Frobenius exponent must be >= 0, got {i}")
-    q = e.ctx.q
-    out = e
-    for _ in range(i % e.ctx.ell):
-        out = out**q
-    return out
+    return e ** e.ctx.q ** (i % e.ctx.ell)
 
 
 def lin_independent_over_base(elems: Sequence[ExtElement]) -> bool:

@@ -370,6 +370,41 @@ def test_oversized_grassmannian_fails_at_once(setup, call):
     assert "enumeration cap" in detail["error"]
 
 
+@pytest.mark.parametrize(
+    "argv,rc,printed",
+    [
+        (["embed", "--q", str(2**61 - 1), "--matrix", "1 0"], 0, ["[1:0]"]),
+        (["code", "--q", "3", "--n", "10000003", "--k", "3", "--delta", "2"], 1, []),
+    ],
+    ids=["embed-q-2^61-1", "code-ell-10^7"],
+)
+def test_huge_field_parameters_finish_at_once(argv, rc, printed):
+    """A 61-bit prime q is decided by Miller-Rabin, not by sqrt(q) trial
+    divisions, and an extension degree of 10^7 has no default modulus,
+    decided without forming q^ell.  Bounded children, as above."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _BOUNDED_CHILD.format(setup="", call=f"main({argv!r})")],
+        env=env, capture_output=True, text=True, timeout=10, preexec_fn=_limit_address_space,
+    )
+    assert done.returncode == rc, done.stderr
+    *out, seconds = done.stdout.splitlines()
+    assert out == printed
+    assert float(seconds) < 1.0
+    if rc:
+        assert json.loads(done.stderr)["module"] == "gf"
+
+
+def test_default_modulus_beyond_the_old_table(capsys):
+    """q = 7 has a default modulus now: the first monic irreducible, x^2 + 1."""
+    argv = ["decode", "--q", "7", "--n", "4", "--k", "2", "--delta", "2",
+            "--received", "1 0 1 0;0 1 0 1", "--e", "1"]
+    rc, out, err = run_cli(capsys, argv)
+    assert (rc, err) == (0, "") and "list size: 1" in out
+    assert run_cli(capsys, [*argv, "--modulus", "1,0,1"]) == (rc, out, err)
+
+
 def test_emit_builds_only_the_chosen_format(capsys):
     def unused():
         raise AssertionError("built the format that is not printed")
@@ -398,8 +433,9 @@ def test_element_grammar():
 
 # -- fuzzing the documented grammar ------------------------------------------
 # Each argument is drawn well-formed three times in four, so that about one
-# decode in five gets past validation; q = 5 keeps n <= 5 off the shipped
-# shapes, so no code drawn has more than 5^4 codewords.
+# decode in five gets past validation; q >= 5 keeps n <= 5, so no code drawn
+# over F_5 or F_7 has more than 7^3 codewords, and every code over the
+# 61-bit prime field is over the enumeration cap.
 
 small = st.integers(-1, 6)
 
@@ -421,9 +457,9 @@ def matrix_texts(draw, rows, cols):
 
 @st.composite
 def code_args(draw):
-    q = draw(mostly(st.sampled_from([2, 3, 5]), st.sampled_from([-1, 0, 1, 4])))
-    shapes = [(4, 2, 2), (5, 2, 2), (6, 3, 3)] + ([(6, 3, 2)] if q < 5 else [])
-    wild = st.tuples(st.integers(-1, 5 if q == 5 else 6), small, small)
+    q = draw(mostly(st.sampled_from([2, 3, 5, 7, 2**61 - 1]), st.sampled_from([-1, 0, 1, 4])))
+    shapes = [(4, 2, 2), (5, 2, 2)] + ([(6, 3, 3), (6, 3, 2)] if q < 5 else [])
+    wild = st.tuples(st.integers(-1, 5 if q >= 5 else 6), small, small)
     n, k, delta = draw(mostly(st.sampled_from(shapes), wild))
     argv = ["--q", str(q), "--n", str(n), "--k", str(k), "--delta", str(delta)]
     for flag, options in (

@@ -239,6 +239,15 @@ def test_grassmannian_enumeration(q, n, k):
     assert len(set(subs)) == len(subs)
 
 
+def test_zero_dimensional_bases_keep_n():
+    ctx = FieldCtx(2)
+    [zero] = enumerate_grassmannian(ctx, 4, 0)
+    assert (zero.k, zero.n) == (0, 4)
+    lifted = lift(MatGF(ctx, 0, 3, ()))
+    assert (lifted.k, lifted.n) == (0, 3)
+    assert [s.basis for s in enumerate_grassmannian(ctx, 3, 3)] == [MatGF.identity(ctx, 3)]
+
+
 def test_random_subspace_deterministic():
     ctx = FieldCtx(3)
     a = random_subspace(ctx, 5, 2, random.Random(42))

@@ -1,13 +1,15 @@
 import itertools
+import math
 
 import pytest
 
 from plueckerdec.errors import FieldError
 from plueckerdec.gf import (
-    DEFAULT_MODULI,
     ExtFieldCtx,
     FieldCtx,
+    _is_prime,
     _poly_mod,
+    default_modulus,
     ext_field,
     format_element,
     frobenius,
@@ -32,6 +34,30 @@ def test_prime_validation():
         FieldCtx(4)
     with pytest.raises(FieldError):
         FieldCtx(1)
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(20_000):
+        assert _is_prime(n) == (n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))), n
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+    3825123056546413051,  # strong pseudoprime to bases 2 to 23
+    318665857834031151167461,  # psi_12: passes bases 2 to 37, caught by 41
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not _is_prime(n)
+
+
+def test_field_size_bound():
+    """psi_13 passes all 13 bases, so sizes from there on are refused."""
+    assert FieldCtx(2**61 - 1).q == 2305843009213693951
+    for n in (3317044064679887385961981, 3317044064679887385961981 + 2):
+        with pytest.raises(FieldError, match="psi_13"):
+            _is_prime(n)
+        with pytest.raises(FieldError, match="psi_13"):
+            FieldCtx(n)
 
 
 def test_inverse_of_zero_fails():
@@ -61,14 +87,28 @@ def _irreducible_by_trial_division(p, q):
     )
 
 
+# The moduli table that shipped before the defaults were derived: none changes.
+SHIPPED_MODULI = {
+    (2, 1): (0, 1), (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1), (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1), (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1), (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (3, 1): (0, 1), (3, 2): (1, 0, 1), (3, 3): (1, 2, 0, 1), (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1), (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1), (3, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1),
+    (5, 1): (0, 1), (5, 2): (2, 0, 1), (5, 3): (1, 1, 0, 1), (5, 4): (2, 0, 0, 0, 1),
+    (5, 5): (1, 4, 0, 0, 0, 1), (5, 6): (2, 1, 0, 0, 0, 0, 1),
+    (5, 7): (1, 1, 0, 0, 0, 0, 0, 1), (5, 8): (2, 0, 0, 0, 0, 0, 0, 0, 1),
+}
+
+
 def test_default_moduli_are_irreducible():
-    for (q, ell), coeffs in DEFAULT_MODULI.items():
-        assert len(coeffs) == ell + 1
-        assert coeffs[-1] == 1
-        assert is_irreducible(coeffs, q)
-        assert _irreducible_by_trial_division(coeffs, q)
-    assert DEFAULT_MODULI[(2, 2)] == (1, 1, 1)  # x^2+x+1
-    assert DEFAULT_MODULI[(2, 3)] == (1, 1, 0, 1)  # x^3+x+1
+    """The first monic irreducible in counting order, lowest degree fastest."""
+    for q, ell in [*SHIPPED_MODULI, (7, 2), (7, 3), (11, 2), (13, 3)]:
+        monic = ((*low[::-1], 1) for low in itertools.product(range(q), repeat=ell))
+        first = next(p for p in monic if _irreducible_by_trial_division(p, q))
+        assert default_modulus(q, ell) == first == SHIPPED_MODULI.get((q, ell), first)
+    assert default_modulus(2, 2) == (1, 1, 1)  # x^2+x+1
+    assert default_modulus(2, 3) == (1, 1, 0, 1)  # x^3+x+1
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
@@ -168,7 +208,7 @@ def test_multiplicative_group_cyclic(q, ell):
     assert max(orders) == group_order
 
 
-@pytest.mark.parametrize("q,ell", [(2, 3), (3, 2), (5, 2)])
+@pytest.mark.parametrize("q,ell", [(2, 3), (3, 2), (5, 2), (2, 8), (5, 4)])
 def test_field_axioms_extension(q, ell):
     ext = ext_field(q, ell)
     one = ext.one()
@@ -177,6 +217,13 @@ def test_field_axioms_extension(q, ell):
             assert e * e.inverse() == one
         assert e + ext.zero() == e
         assert e * one == e
+
+
+def test_inverse_in_a_large_field():
+    ext = ext_field(1_000_003, 2, (1, 0, 1))  # x^2 + 1: 1,000,003 is 3 mod 4
+    e = ext.element([123_456, 654_321])
+    assert e * e.inverse() == ext.one()
+    assert e.inverse() ** -1 == e
 
 
 def test_context_mixing_is_error():
@@ -232,5 +279,5 @@ def test_user_modulus_override():
 
 
 def test_missing_default_modulus():
-    with pytest.raises(FieldError):
-        ext_field(7, 2)
+    with pytest.raises(FieldError, match="no default modulus"):
+        ext_field(1_000_003, 2)
