@@ -13,20 +13,20 @@ system (`paper`), enumerating codewords against the ball forms
 (`reduced`), and enumerating codewords against the distance itself
 (`oracle`).  `paper` substitutes the block code's generator for the
 qualifying coordinates, so the parity forms hold identically (Hp y = 0
-exactly when y = Gp^T m for a message m) and drop out; it eliminates the
-normalization and the ball forms once over the other coordinates and the
-message digits, walks the projection of the solution set onto the digits
-in message order, screens each point by the ball forms on the Pluecker
-vector read off the minors of its codeword matrix, and builds entries only
-for the codewords that pass.  Every strategy lists its codewords in
-message order.
+exactly when y = Gp^T m for a message m) and drop out.  In one echelon of
+the normalization and the ball forms over the other coordinates and the
+digits, the rows that pivot on a digit cut out the projection of the
+solution set onto the digits; their RREF gives a coset that `paper` walks
+in message order, screening each point by the ball forms on the Pluecker
+vector read off its codeword matrix's minors and building entries only
+for the codewords that pass.  Every strategy lists them in message order.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate
 from math import comb
 from typing import Callable, Iterator, Sequence
@@ -34,8 +34,8 @@ from typing import Callable, Iterator, Sequence
 from .errors import DecodeError
 from .gf import ExtElement, phi_inv
 from .matgf import (
-    MatGF, _echelon, _pack_row, _reduce, _slots, _unpack_row, kernel_basis, rank,
-    rref, solve_affine,
+    MatGF, _echelon, _pack_row, _reduce, _rref_rows, _slots, _solution_set, _unpack_row,
+    kernel_basis, rank, rref,
 )
 from .gabidulin import (
     ENUMERATION_CAP,
@@ -294,18 +294,23 @@ def _odometer(base: int, rows: list[int], rho: int, q: int) -> Iterator[int]:
     to 0 adds rows[t] + ... + rows[-1] (q times a row is zero): one packed add.
     """
     carry = list(accumulate(reversed(rows), lambda a, b: _reduce(a + b, rho, q)))[::-1]
-    counts = [0] * len(rows)
+    counts, last, table = [0] * len(rows), len(rows) - 1, _slots(q)[1]
     point = base
     while True:
         yield point
-        t = len(rows) - 1
+        t = last
         while t >= 0 and counts[t] == q - 1:
             counts[t] = 0
             t -= 1
         if t < 0:
             return
         counts[t] += 1
-        point = _reduce(point + carry[t], rho, q)
+        if q == 2:  # the add is slot by slot mod 2
+            point ^= carry[t]
+        elif table is not None:  # _reduce, inlined on the hot path
+            point = int.from_bytes((point + carry[t]).to_bytes(rho, "little").translate(table), "little")
+        else:
+            point = _reduce(point + carry[t], rho, q)
 
 
 @lru_cache(maxsize=32)
@@ -313,7 +318,7 @@ def _code_table(code: GabidulinCode) -> tuple[DecodeEntry, ...]:
     """Every codeword's entry (`_entry_at`) in message order: the odometer walk
     from 0 by the unit digit rows, most significant first, as `paper` walks."""
     units = [_pack_row([0] * s + [1], code.q) for s in reversed(range(code.rho))]
-    return tuple(map(partial(_entry_at, code), _odometer(0, units, code.rho, code.q)))
+    return tuple(_entry_at(code, d) for d in _odometer(0, units, code.rho, code.q))
 
 
 @lru_cache(maxsize=None)
@@ -332,47 +337,52 @@ def _solver_layout(code: GabidulinCode) -> tuple[int, tuple[int, ...]]:
     return len(others), tuple(_pack_row(rows[i], q, len(block)) for i in range(nvars))
 
 
+def _projected_coset(code: GabidulinCode, forms: Sequence[LinearForm]) -> tuple[int, list[int]] | None:
+    """The projection onto the message digits of the solutions of `forms`
+    over [non-qualifying coordinates | digits] (`_solver_layout`): a packed
+    base and one packed step per free digit, ascending, or None when one
+    echelon of the forms' rows, rhs in the last slot, pivots there.  A row
+    is zero before its pivot, so those pivoting on a digit are zero on the
+    other coordinates and cut out the projection; their RREF gives the base
+    and the steps (`_solution_set`)."""
+    q, rho = code.q, code.rho
+    cut, images = _solver_layout(code)
+    width, terms, bits = cut + rho, len(images) - cut, 8 * _slots(q)[0]
+    sums = (sum(c * im for c, im in zip(f.coeffs, images) if c) for f in forms)
+    rows = [_reduce(s, width, q, terms) | f.rhs % q << bits * width for s, f in zip(sums, forms)]
+    piv = _echelon(rows, width + 1, q)[0]
+    if width in piv:
+        return None
+    digits = [row >> bits * cut for c, row in piv.items() if c >= cut]
+    return _solution_set(digits, _rref_rows(digits, rho + 1, q), rho, q)
+
+
 def _decode_paper(code: GabidulinCode, r: Subspace, e: int) -> tuple[list[DecodeEntry], dict]:
     """Solve the equation system over the message digits.
 
     A vector y on the qualifying coordinates meets the parity forms exactly
     when y = Gp^T m for one message m, so substituting Gp^T m for them
     meets the parity forms identically and leaves the projection of the
-    solution set onto m unchanged.  One elimination of the normalization
-    and the ball forms over [non-qualifying coordinates | digits] decides
-    feasibility; its solution set projects onto a coset of the message
-    space, walked in message order.  Each point is a lifted codeword, so it
-    satisfies the normalization, the parity forms and the shuffle relations
-    by construction; it is listed when its screen (`_screen_at`) satisfies
-    the ball forms, and only then gets an entry.
+    solution set onto m unchanged.  One echelon of the normalization and
+    the ball forms decides feasibility, and the RREF of its rows that pivot
+    on a digit gives that projection (`_projected_coset`): a coset, walked
+    in message order.  Each point is a lifted codeword, so it satisfies the
+    normalization, the parity forms and the shuffle relations by
+    construction; it is listed when its screen (`_screen_at`) satisfies the
+    ball forms, and only then gets an entry.
     """
-    q, nvars = code.q, comb(code.n, code.k)
-    cut, images = _solver_layout(code)
-    width = cut + code.rho
-    ball = ball_equations(r, e)
-    forms = [_normalization(nvars), *ball]
-    sums = (sum(c * im for c, im in zip(f.coeffs, images) if c) for f in forms)
-    rows = tuple(x % q for s in sums for x in _unpack_row(s, width, q, nvars - cut))
-    solved = solve_affine(MatGF(code.ext.base, len(forms), width, rows), [f.rhs for f in forms])
-    if solved is None:
+    q, nvars, ball = code.q, comb(code.n, code.k), ball_equations(r, e)
+    coset = _projected_coset(code, [_normalization(nvars), *ball])
+    if coset is None:
         return [], {"solver_path": "infeasible", "candidates_enumerated": 0}
-    particular, kernel = solved
-    # a kernel vector whose free column is non-qualifying is zero on the
-    # digits, since a row pivoting on a digit is zero before its pivot; the
-    # others have their 1 at their free digit and are non-zero elsewhere only
-    # at less significant pivots, so reversed they count in message order
-    shift = 8 * _slots(q)[0] * cut
-    steps = [v >> shift for v in kernel.packed if v >> shift]
+    base, steps = coset
     total = q ** len(steps)
     if total > ENUMERATION_CAP:
-        raise DecodeError(
-            f"{total} candidate assignments exceed the enumeration cap {ENUMERATION_CAP}"
-        )
-    walk = _odometer(_pack_row(particular[cut:], q), steps[::-1], code.rho, q)
-    if ball:  # at e = k there are no forms and every point is listed
-        check, screen = _form_check(ball, nvars, q), partial(_screen_at, code)
-        walk = filter(lambda d: check(screen(d)), walk)
-    entries = list(map(partial(_entry_at, code), walk))
+        raise DecodeError(f"{total} candidate assignments exceed the enumeration cap {ENUMERATION_CAP}")
+    # a step is non-zero only at its free digit (a 1) and at less significant
+    # pivots, so reversed they count in message order; at e = k, no forms
+    walk, check = _odometer(base, steps[::-1], code.rho, q), _form_check(ball, nvars, q)
+    entries = [_entry_at(code, d) for d in walk if not ball or check(_screen_at(code, d))]
     return entries, {"solver_path": "projected", "candidates_enumerated": total}
 
 

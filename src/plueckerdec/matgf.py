@@ -180,12 +180,12 @@ def _unpack_row(r: int, n: int, q: int, terms: int = 2) -> list[int]:
     return [int.from_bytes(b[i : i + w], "little") for i in range(0, len(b), w)]
 
 
-def _reduce(r: int, n: int, q: int) -> int:
-    """Every slot of a packed row with n slots taken mod q."""
-    table = _slots(q)[1]
-    if table is not None:
+def _reduce(r: int, n: int, q: int, terms: int = 2) -> int:
+    """Every one of n slots, sized by `_slots(q, terms)`, taken mod q into row slots."""
+    table = _slots(q, terms)[1]
+    if table is not None and _slots(q)[1] is not None:
         return int.from_bytes(r.to_bytes(n, "little").translate(table), "little")
-    return _pack_row([x % q for x in _unpack_row(r, n, q)], q)
+    return _pack_row([x % q for x in _unpack_row(r, n, q, terms)], q)
 
 
 def _echelon(rows: Iterable[int], n: int, q: int) -> tuple[dict[int, int], int]:
@@ -371,7 +371,7 @@ def solve_affine(
     m: MatGF, rhs: Sequence[int]
 ) -> tuple[tuple[int, ...], MatGF] | None:
     """Full solution set of m x = rhs as (particular, kernel basis), both
-    read off one RREF of the augmented rows.
+    read off one RREF of the augmented rows (`_solution_set`).
 
     Returns None when the system is inconsistent.
     """
@@ -383,19 +383,22 @@ def solve_affine(
     pivots = _rref_rows(aug, n + 1, q)
     if pivots and pivots[-1] == n:
         return None  # pivot in the rhs column
-    particular = [0] * n
-    red = []
-    for r, p in zip(aug, pivots):
-        particular[p] = r >> shift
-        red.append(_unpack_row(r & (1 << shift) - 1, n, q))
-    basis = []
-    for f in sorted(set(range(n)) - set(pivots)):
-        vec = [0] * n
-        vec[f] = 1
-        for row, p in zip(red, pivots):
-            vec[p] = -row[f] % q
-        basis.append(vec)
-    return tuple(particular), MatGF(m.ctx, len(basis), n, tuple(x for vec in basis for x in vec))
+    particular, kernel = _solution_set(aug, pivots, n, q)
+    basis = tuple(x for v in kernel for x in _unpack_row(v, n, q))
+    return tuple(_unpack_row(particular, n, q)), MatGF(m.ctx, len(kernel), n, basis)
+
+
+def _solution_set(rows: Sequence[int], pivots: Sequence[int], n: int, q: int) -> tuple[int, list[int]]:
+    """Particular solution (the rhs at each pivot) and kernel basis (per free
+    column f ascending: 1 at f and minus column f at each pivot), packed, of
+    RREF'd packed rows with n slots, the rhs in slot n and pivots below n."""
+    bits = 8 * _slots(q)[0]
+    mask, pivot_rows = (1 << bits) - 1, list(zip(rows, pivots))
+    kernel = [
+        sum(-(r >> bits * f & mask) % q << bits * p for r, p in pivot_rows) + (1 << bits * f)
+        for f in sorted(set(range(n)).difference(pivots))
+    ]
+    return sum(r >> bits * n << bits * p for r, p in pivot_rows), kernel
 
 
 # ---------------------------------------------------------------------------

@@ -343,10 +343,13 @@ def _free_block_minors(u: Subspace, pattern_at: Callable[..., tuple[int, ...]]) 
     return _read_minors(pattern_at(pivots), upp, u.k, u.n - u.k, u.ctx.q)
 
 
-def _block_pattern(k: int, m: int, pairs: Iterable, negate: bool = False) -> tuple[int, ...]:
+def _block_pattern(
+    k: int, m: int, pairs: Iterable, negate: bool = False, sorted_rows: bool = True
+) -> tuple[int, ...]:
     """The minor of N(X) = [[I_k, X], [0, I_m]] on each pair of 0-based row
-    and column lists, either in any order, as a `_read_minors` pattern over
-    the minors of the k x m block X, or of -X when `negate`.
+    and column lists, the rows sorted (`_lifted_table`) or, if not
+    `sorted_rows`, the columns (`_ball_pattern`), as a `_read_minors`
+    pattern over the minors of the k x m block X, or of -X when `negate`.
 
     Column c < k is the unit vector at row c, and row k + r the unit vector
     at column k + r, so the minor is zero unless each such column has its
@@ -354,21 +357,20 @@ def _block_pattern(k: int, m: int, pairs: Iterable, negate: bool = False) -> tup
     those columns with their rows to the front and those rows with their
     columns to the back, leaves [[I, *, *], [0, X[S, T], *], [0, 0, I]]: the
     minor of X on the other rows S < k and columns k + T, negated by the
-    parity of both sorts, of the kept rows before each such column, of the
-    kept columns after each such row, and, for -X, of |S|.
+    parity of sorting the other side, of the kept rows before each such
+    column, of the kept columns after each such row, and, for -X, of |S|.
     """
-    index = _minor_plan(k, m)[0]
+    index, low = _minor_plan(k, m)[0], set(range(k))
     zero = len(index)
     out = []
     for rows, cols in pairs:
-        units = [c for c in cols if c < k]
-        fixed = [r for r in rows if r >= k]
         rs, cs = set(rows), set(cols)
-        if not rs.issuperset(units) or not cs.issuperset(fixed):
+        units, fixed = cs & low, rs - low
+        if not units <= rs or not fixed <= cs:
             out.append(zero)
             continue
-        s, t = sorted(rs.difference(units, fixed)), sorted(cs.difference(units, fixed))
-        swaps = chain(combinations(rows, 2), combinations(cols, 2), product(units, s))
+        s, t = sorted(rs & low - cs), sorted(cs - low - rs)
+        swaps = chain(combinations(cols if sorted_rows else rows, 2), product(units, s))
         parity = negate * len(s) + sum(starmap(gt, chain(swaps, product(t, fixed))))
         minor = index[tuple(s), tuple([c - k for c in t])]
         out.append(~minor if parity % 2 else minor)
@@ -391,9 +393,9 @@ def _ball_pattern(n: int, k: int, e: int, pivots: tuple[int, ...]) -> tuple[int,
         raise GrassmannError(f"{size} ball-form coefficients exceed the enumeration cap")
     order = sorted(range(n), key=lambda c: c not in pivots)  # pivots first, then free
     block_row = {c: b for b, c in enumerate(order)}
-    tuples, cols = _zero_based_tuples(n, k), [[x - 1 for x in f] for f in forbidden_tuples]
-    pairs = (([block_row[x] for x in t], c) for c in cols for t in tuples)
-    return _block_pattern(k, n - k, pairs, negate=True)
+    rows = [[block_row[x] for x in t] for t in _zero_based_tuples(n, k)]
+    pairs = ((r, c) for c in ([x - 1 for x in f] for f in forbidden_tuples) for r in rows)
+    return _block_pattern(k, n - k, pairs, negate=True, sorted_rows=False)
 
 
 @lru_cache(maxsize=4096)

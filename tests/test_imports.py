@@ -116,3 +116,39 @@ def test_subspace_keyed_memo_is_reported():
         "def i(r: Subspace): pass\n"
     )
     assert subspace_keyed_memos(source) == ["f", "g"]
+
+
+PACKED_FRONT_END = ("_decode_paper", "_projected_coset")
+
+
+def unpacked_names(source: str, functions=PACKED_FRONT_END) -> list[str]:
+    """"function: name" for each use of `MatGF`, `solve_affine` or
+    `_unpack_row` inside these top-level functions, sorted."""
+    return sorted(
+        f"{fn.name}: {n.id}"
+        for fn in ast.parse(source).body
+        if isinstance(fn, ast.FunctionDef) and fn.name in functions
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Name) and n.id in {"MatGF", "solve_affine", "_unpack_row"}
+    )
+
+
+def test_paper_front_end_stays_packed():
+    """`paper` goes from the ball forms to its coset on packed rows: no
+    matrix is built, unpacked or solved by `solve_affine` on the way."""
+    assert unpacked_names((SRC / "listdec.py").read_text()) == []
+
+
+def test_unpacked_front_end_is_reported():
+    source = (
+        "def _decode_paper(code):\n"
+        "    m = MatGF.from_rows(code.ctx, [])\n"
+        "    return solve_affine(m, [])\n"
+        "def _projected_coset(code, forms):\n"
+        "    return list(map(_unpack_row, forms))\n"
+        "def _entry_at(code, digits):\n"
+        "    return MatGF(code.ctx, 1, 1, _unpack_row(digits, 1, 2))\n"
+    )
+    assert unpacked_names(source) == [
+        "_decode_paper: MatGF", "_decode_paper: solve_affine", "_projected_coset: _unpack_row",
+    ]

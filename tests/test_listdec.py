@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from plueckerdec.channel import ChannelConfig, corrupt
 from plueckerdec.errors import DecodeError
 from plueckerdec.gf import FieldCtx
-from plueckerdec.matgf import MatGF, _pack_row, minor, solve_affine
+from plueckerdec.matgf import MatGF, _pack_row, _slots, _unpack_row, minor, solve_affine
 from plueckerdec.gabidulin import (
     Subspace,
     encode,
@@ -27,7 +27,10 @@ from plueckerdec.listdec import (
     _code_table,
     _entry_at,
     _form_check,
+    _normalization,
+    _projected_coset,
     _screen_at,
+    _solver_layout,
     assemble_system,
     build_block_code,
     decode_list,
@@ -37,7 +40,7 @@ from plueckerdec.listdec import (
     system_report,
 )
 from plueckerdec.params import SMALL_PARAMETER_SETS
-from plueckerdec.pluecker import LinearForm, embed, lifted_coordinates, tuple_rank
+from plueckerdec.pluecker import LinearForm, ball_equations, embed, lifted_coordinates, tuple_rank
 
 F2 = FieldCtx(2)
 
@@ -306,6 +309,50 @@ def test_paper_equals_oracle_larger_q(q, modulus):
     rng = random.Random(q)
     for _ in range(6):
         _assert_paper_equals_oracle(code, _received(code, rng))
+
+
+def _solve_affine_coset(code, forms):
+    """Reference for `_projected_coset`: the MatGF system of `forms` over
+    [non-qualifying coordinates | digits], solved by `solve_affine`, its
+    particular solution and kernel vectors projected onto the digits."""
+    q, (cut, images) = code.q, _solver_layout(code)
+    width = cut + code.rho
+    cols = [_unpack_row(im, width, q, len(images) - cut) for im in images]
+    rows = [[sum(c * col[j] for c, col in zip(f.coeffs, cols)) for j in range(width)] for f in forms]
+    solved = solve_affine(MatGF.from_rows(code.ext.base, rows), [f.rhs for f in forms])
+    if solved is None:
+        return None
+    particular, kernel = solved
+    shift = 8 * _slots(q)[0] * cut
+    return _pack_row(particular[cut:], q), [v >> shift for v in kernel.packed if v >> shift]
+
+
+FRONT_END_SETS = [
+    (2, 6, 3, 2), (3, 6, 3, 2), (2, 7, 3, 2), (5, 5, 2, 2), (5, 6, 3, 3),
+    (7, 6, 3, 3), (11, 4, 2, 2), (13, 4, 2, 2),
+]
+
+
+@given(st.sampled_from(FRONT_END_SETS), st.sampled_from(["uniform", "lifted"]), st.integers(0, 2**32))
+@settings(max_examples=80)
+def test_projected_coset_is_the_solve_affine_projection(params, kind, seed):
+    """`paper`'s packed front end (one echelon, then the RREF of the rows
+    that pivot on a digit) gives the base and steps that projecting the
+    whole `solve_affine` solution gives, at every e, on uniform spaces and
+    on lifted codewords; and `paper` lists what `oracle` lists.  At (7,6,3,3)
+    and (11,4,2,2) the solver images take two-byte slots and the rows one,
+    and at (13,4,2,2) both take two."""
+    code = make_code(*params)
+    rng = random.Random(seed)
+    if kind == "uniform":
+        r = random_subspace(code.ext.base, code.n, code.k, rng)
+    else:
+        msg = [code.ext.element_at(rng.randrange(code.ext.order)) for _ in range(code.msg_len)]
+        r = lift(encode(code, msg))
+    for e in range(code.k + 1):
+        forms = [_normalization(comb(code.n, code.k)), *ball_equations(r, e)]
+        assert _projected_coset(code, forms) == _solve_affine_coset(code, forms)
+    _assert_paper_equals_oracle(code, r)
 
 
 def _singular_left(code, rng):

@@ -12,6 +12,9 @@ from plueckerdec.matgf import (
     MatGF,
     _all_minors,
     _minor_plan,
+    _pack_row,
+    _reduce,
+    _slots,
     det,
     kernel_basis,
     mat_from_text,
@@ -325,6 +328,21 @@ def test_solve_affine_matches_plain_elimination(m, data):
         for i in range(m.rows):
             assert sum(m.at(i, j) * particular[j] for j in range(m.cols)) % q == rhs[i]
         assert ker == kernel_basis(m)
+
+
+@pytest.mark.parametrize("q,terms", [(7, 6), (7, 9), (11, 2), (11, 4), (13, 1), (13, 2), (13, 4)])
+def test_reduce_reads_wide_slots_into_row_slots(q, terms):
+    """A packed sum of `terms` products has slots up to terms (q-1)^2 in
+    `_slots(q, terms)`; `_reduce(..., terms)` takes them mod q into the
+    slots of a row.  The widths are both one byte at (7, 6) and (11, 2),
+    wider for the sums only at (7, 9), (11, 4) and (13, 1), and both two
+    bytes at (13, 2) and (13, 4)."""
+    top, n = terms * (q - 1) ** 2, 12
+    assert _slots(q, terms)[0] == (1 if top < 256 else 2)
+    rng = random.Random(q * terms)
+    for trial in range(50):
+        vals = [top] * n if trial == 0 else [rng.choice([0, top, rng.randrange(top)]) for _ in range(n)]
+        assert _reduce(_pack_row(vals, q, terms), n, q, terms) == _pack_row([v % q for v in vals], q)
 
 
 def leibniz_det(rows, q):

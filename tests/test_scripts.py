@@ -10,7 +10,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 @pytest.mark.parametrize(
     "argv",
-    [["worked_examples.py"], ["channel_sweep.py", "--trials", "1"], ["memo_report.py", "--rounds", "1"]],
+    [
+        ["worked_examples.py"], ["channel_sweep.py", "--trials", "1"], ["memo_report.py", "--rounds", "1"],
+        ["decode_sweep.py", "--rounds", "1"],
+    ],
     ids=lambda a: a[0],
 )
 def test_script_runs(argv):
